@@ -15,7 +15,6 @@ import numpy as np
 
 from . import flsim, qagg, validate
 from .config import ConfigError, ExperimentConfig, parse_config
-from .encode import HALF_PI
 
 CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
 

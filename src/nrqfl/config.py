@@ -3,17 +3,29 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .qcore import NoiseModel
+from .qselect import EntropySource
 
 
 class ConfigError(ValueError):
     """Raised with the offending key path on schema violations."""
 
 
+# The flags qagg.AggregationConfig accepts; defined here so that parsing a
+# config does not import the aggregation engine.
+MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "calibration"})
 DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
+
+
+def _check_noise(values: dict) -> None:
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+            raise ConfigError(f"noise.{name} must be a probability in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -42,22 +54,12 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        counts = {
-            "n_clients": self.n_clients,
-            "samples_per_client": self.samples_per_client,
-            "test_samples": self.test_samples,
-            "classes": self.classes,
-            "feature_dim": self.feature_dim,
-            "local_epochs": self.local_epochs,
-            "shots": self.shots,
-            "repeats": self.repeats,
-            "n_servers": self.n_servers,
-        }
-        for name, v in counts.items():
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        if not isinstance(self.rounds, int) or self.rounds < 0:
-            raise ConfigError(f"rounds must be an integer >= 0, got {self.rounds!r}")
+        minimums = dict(seed=0, n_clients=1, samples_per_client=1, test_samples=1, classes=1, feature_dim=1,
+                        rounds=0, local_epochs=1, shots=1, repeats=1, n_servers=1)
+        for name, lo in minimums.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+                raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
         if not 0.0 <= self.skew <= 1.0:
             raise ConfigError(f"skew must be in [0, 1], got {self.skew}")
         if self.lr <= 0 or self.class_sep <= 0 or self.fixed_weight_bound <= 0:
@@ -67,8 +69,18 @@ class ExperimentConfig:
             raise ConfigError(f"strategies must be a non-empty subset of fedavg/qfl/nrqfl, got {strategies}")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "mitigation", tuple(self.mitigation))
-        if self.selection_m is not None and not 1 <= self.selection_m <= self.n_clients:
-            raise ConfigError(f"selection_m must be in 1..n_clients, got {self.selection_m}")
+        unknown = [m for m in self.mitigation if not isinstance(m, str) or m not in MITIGATION_FLAGS]
+        if unknown:
+            raise ConfigError(f"mitigation has unknown flags {unknown}; choose from {sorted(MITIGATION_FLAGS)}")
+        for name in ("exact_expectation", "record_timing"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        _check_noise({name: getattr(self.noise, name) for name in _NOISE_KEYS})
+        if self.selection_m is not None:
+            if not 1 <= self.selection_m <= self.n_clients:
+                raise ConfigError(f"selection_m must be in 1..n_clients, got {self.selection_m}")
+            if self.selection_m < self.n_clients and EntropySource(self.noise, seed=0).p1 in (0.0, 1.0):
+                raise ConfigError("noise makes the selection entropy circuit read P(1) = 0 or 1, so it yields no random bits")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         import dataclasses
@@ -84,9 +96,6 @@ class ExperimentConfig:
         return d
 
 
-_NOISE_KEYS = {"p_depol", "p_deph", "gamma", "readout_flip"}
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config; unknown keys are rejected with their path."""
     if not isinstance(data, dict):
@@ -99,11 +108,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key == "noise":
             if not isinstance(value, dict):
                 raise ConfigError("noise must be an object")
-            for nk, nv in value.items():
+            for nk in value:
                 if nk not in _NOISE_KEYS:
                     raise ConfigError(f"unknown config key: noise.{nk}")
-                if not isinstance(nv, (int, float)) or not 0.0 <= nv <= 1.0:
-                    raise ConfigError(f"noise.{nk} must be a probability in [0, 1], got {nv!r}")
+            _check_noise(value)
             kwargs["noise"] = NoiseModel(**value)
         elif key in ("strategies", "mitigation"):
             if not isinstance(value, (list, tuple)):

@@ -13,15 +13,14 @@ Strategies:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qagg, qselect
 from .config import ExperimentConfig
-from .encode import WeightBounds, bounds_from_values, normalize
+from .encode import WeightBounds, bounds_from_values, encode, normalize
 from .qcore import NoiseModel, compose_channels, identity_channel
-from .encode import encode
 
 STRATEGIES = ("fedavg", "qfl", "nrqfl")
 

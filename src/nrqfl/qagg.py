@@ -17,37 +17,26 @@ Mitigation layers, selected by flags in AggregationConfig:
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import (
-    HALF_PI,
-    WeightBounds,
-    angle_to_z,
-    decode_shots,
-    denormalize,
-    normalize,
-    z_to_angle,
-)
+from .config import MITIGATION_FLAGS
+from .encode import HALF_PI, angle_to_z, denormalize, normalize, z_to_angle
 from .qcore import (
     DensityMatrix,
     KrausChannel,
     NoiseModel,
     Observable,
     apply_channel,
-    apply_unitary,
+    circuit_state,
     expectation,
-    make_pure_state,
-    prob_one,
-    ry,
+    readout_p1,
     sample_measurement,
     trace_distance,
 )
 
 MAX_GROUP = 9  # keeps circuit depth under 10
-MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "calibration"})
 INVERSION_FLOOR = 1e-6
 
 
@@ -61,7 +50,6 @@ class AggregationConfig:
     mitigation: frozenset = frozenset()
     sigma_shot: float = 0.5
     sigma_gate: float = 0.0
-    max_qubits_per_batch: int = 1
     exact_expectation: bool = False
 
     def __post_init__(self):
@@ -71,8 +59,6 @@ class AggregationConfig:
             raise ValueError("n_clients must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if not 1 <= self.max_qubits_per_batch <= 6:
-            raise ValueError("max_qubits_per_batch must be in 1..6")
         unknown = set(self.mitigation) - MITIGATION_FLAGS
         if unknown:
             raise ValueError(f"unknown mitigation flags: {sorted(unknown)}")
@@ -113,7 +99,6 @@ class AggregateEstimate:
     """Single-circuit estimate in angle units."""
 
     value: float
-    raw_value: float
     z_raw: float
     variance_estimate: float
 
@@ -144,19 +129,7 @@ def build_plan(angles, n_clients: int | None = None) -> CircuitPlan:
 
 def simulate_plan(plan: CircuitPlan, noise: NoiseModel) -> DensityMatrix:
     """Deterministic pre-measurement state: alternate gates and noise passes."""
-    state = make_pure_state([1.0, 0.0])
-    channels = noise.gate_channels()
-    for theta in plan.gates:
-        state = apply_unitary(state, ry(theta), 0)
-        for ch in channels:
-            state = apply_channel(state, ch, 0)
-    return state
-
-
-def _effective_p1(state: DensityMatrix, noise: NoiseModel) -> float:
-    p1 = prob_one(state, 0)
-    f = noise.readout_flip
-    return p1 * (1 - f) + (1 - p1) * f
+    return circuit_state(plan.gates, noise)
 
 
 def run_plan(
@@ -172,7 +145,7 @@ def run_plan(
     """
     state = simulate_plan(plan, noise)
     if exact:
-        p1 = _effective_p1(state, noise)
+        p1 = readout_p1(state, noise.readout_flip)
         var = 0.0
     else:
         if rng is None:
@@ -182,7 +155,7 @@ def run_plan(
         # delta-method shot variance of arcsin(sqrt(p)) is ~1/(4S), p-independent
         var = 1.0 / (4.0 * shots)
     angle = math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
-    return AggregateEstimate(value=angle, raw_value=angle, z_raw=1.0 - 2.0 * p1, variance_estimate=var)
+    return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1, variance_estimate=var)
 
 
 def mitigate_channel_inversion(raw_z: float, noise: NoiseModel, depth: int) -> float:
@@ -337,6 +310,18 @@ def variance_bound(cfg: AggregationConfig, depth: int) -> float:
     return cfg.sigma_shot**2 / (cfg.n_clients * cfg.shots) + cfg.sigma_gate**2 * depth / cfg.n_clients
 
 
+def _sample_ones(plan: CircuitPlan, noise: NoiseModel, shots: int, trials: int, rng: np.random.Generator):
+    """Count of ones in each of `trials` independent `shots`-shot executions.
+
+    The pre-measurement state is deterministic, so only measurement sampling
+    is repeated (vectorized over trials).
+    """
+    if trials < 2:
+        raise ValueError("need at least two trials")
+    p_eff = readout_p1(simulate_plan(plan, noise), noise.readout_flip)
+    return rng.binomial(shots, p_eff, size=trials)
+
+
 def empirical_variance(
     plan: CircuitPlan,
     noise: NoiseModel,
@@ -344,16 +329,8 @@ def empirical_variance(
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    """Sample variance of the raw decoded angle over independent executions.
-
-    The pre-measurement state is deterministic, so only measurement sampling
-    is repeated (vectorized over trials).
-    """
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    state = simulate_plan(plan, noise)
-    p_eff = _effective_p1(state, noise)
-    ones = rng.binomial(shots, p_eff, size=trials)
+    """Sample variance of the raw decoded angle over independent executions."""
+    ones = _sample_ones(plan, noise, shots, trials, rng)
     angles = np.arcsin(np.sqrt(ones / shots))
     return float(np.var(angles, ddof=1))
 
@@ -368,12 +345,8 @@ def empirical_mitigated_variance(
 ) -> float:
     """Sample variance of the calibrated estimate; grows with depth because the
     inverse transfer amplifies shot noise by 1/lam_hat."""
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    ones = _sample_ones(plan, noise, shots, trials, rng)
     tf = transfer if transfer is not None else calibrate(noise, plan.depth)
-    state = simulate_plan(plan, noise)
-    p_eff = _effective_p1(state, noise)
-    ones = rng.binomial(shots, p_eff, size=trials)
     zs = 1.0 - 2.0 * ones / shots
     angles = [z_to_angle(tf.invert(z)) for z in zs]
     return float(np.var(angles, ddof=1))

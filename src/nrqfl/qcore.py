@@ -6,6 +6,10 @@ invariants (Hermitian, unit trace, PSD, channel completeness). All operations
 are pure functions of their inputs; the only stateful object is the caller's
 RNG stream.
 
+`circuit_state` + `readout_p1` are the one engine for the noisy one-qubit
+circuits (Ry gates, a noise pass after each) and validate only the final state;
+the step-validated `apply_unitary` / `apply_channel` chain is their oracle.
+
 Qubit index 0 is the leftmost tensor factor (most significant bit of the
 computational-basis index).
 """
@@ -13,7 +17,7 @@ computational-basis index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,15 +230,36 @@ def apply_unitary(state: DensityMatrix, u, target_qubit: int) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, big @ state.matrix @ big.conj().T)
 
 
+def _kraus_sum(m: np.ndarray, operators) -> np.ndarray:
+    """sum_k E_k m E_k^dag, unvalidated."""
+    out = np.zeros_like(m)
+    for e in operators:
+        out += e @ m @ e.conj().T
+    return out
+
+
 def apply_channel(state: DensityMatrix, channel: KrausChannel, target_qubit: int) -> DensityMatrix:
     """Kraus sum E(rho) = sum_k E_k rho E_k^dag on the target qubit."""
     if channel.dim != 2:
         raise ValueError("only single-qubit channels are supported")
-    out = np.zeros_like(state.matrix)
-    for e in channel.operators:
-        big = _lift(e, state.n_qubits, target_qubit)
-        out += big @ state.matrix @ big.conj().T
-    return DensityMatrix(state.n_qubits, out)
+    ops = [_lift(e, state.n_qubits, target_qubit) for e in channel.operators]
+    return DensityMatrix(state.n_qubits, _kraus_sum(state.matrix, ops))
+
+
+def circuit_state(gates, noise: NoiseModel) -> DensityMatrix:
+    """|0> through Ry(theta) per gate angle, each followed by the noise pass.
+
+    The apply_unitary / apply_channel chain's operations, in order, on raw matrices.
+    """
+    channels = noise.gate_channels()
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    m = np.outer(ket0, ket0.conj())
+    for theta in gates:
+        u = ry(theta)
+        m = u @ m @ u.conj().T
+        for ch in channels:
+            m = _kraus_sum(m, ch.operators)
+    return DensityMatrix(1, m)
 
 
 def expectation(state: DensityMatrix, m: Observable) -> float:
@@ -266,6 +291,14 @@ def prob_one(state: DensityMatrix, target_qubit: int) -> float:
     return min(max(p1, 0.0), 1.0)
 
 
+def readout_p1(state: DensityMatrix, readout_flip: float, target_qubit: int = 0) -> float:
+    """P(read 1) on the target qubit when each outcome flips with probability readout_flip."""
+    if not (0.0 <= readout_flip <= 1.0):
+        raise ValueError("readout_flip must be in [0, 1]")
+    p1 = prob_one(state, target_qubit)
+    return p1 * (1 - readout_flip) + (1 - p1) * readout_flip
+
+
 def sample_measurement(
     state: DensityMatrix,
     target_qubit: int,
@@ -280,11 +313,7 @@ def sample_measurement(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not (0.0 <= readout_flip <= 1.0):
-        raise ValueError("readout_flip must be in [0, 1]")
-    p1 = prob_one(state, target_qubit)
-    p_eff = p1 * (1 - readout_flip) + (1 - p1) * readout_flip
-    ones = int(rng.binomial(shots, p_eff))
+    ones = int(rng.binomial(shots, readout_p1(state, readout_flip, target_qubit)))
     return shots - ones, ones
 
 
@@ -298,13 +327,3 @@ def random_density_matrix(n_qubits: int, rng: np.random.Generator, pure: bool = 
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(n_qubits, m / np.trace(m).real)
-
-
-def matrix_to_json(m) -> list:
-    """Nested lists of [re, im] pairs, for debugging dumps."""
-    a = _as_matrix(m)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)

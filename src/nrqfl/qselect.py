@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qcore import NoiseModel, apply_channel, apply_unitary, make_pure_state, prob_one, ry
+from .qcore import NoiseModel, circuit_state, readout_p1
+
+ENTROPY_CIRCUIT = (math.pi / 2,)
 
 
 @dataclass(frozen=True)
@@ -31,16 +34,6 @@ class SelectionVector:
         object.__setattr__(self, "selected", tuple(sorted(int(c) for c in self.selected)))
 
 
-def _bit_probability(noise: NoiseModel) -> float:
-    """P(measure 1) of the noisy entropy circuit; shared by every bit."""
-    state = apply_unitary(make_pure_state([1.0, 0.0]), ry(math.pi / 2), 0)
-    for ch in noise.gate_channels():
-        state = apply_channel(state, ch, 0)
-    p1 = prob_one(state, 0)
-    f = noise.readout_flip
-    return p1 * (1 - f) + (1 - p1) * f
-
-
 def quantum_random_bits(k: int, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """k single-shot measurements of the noisy H|0> circuit.
 
@@ -49,7 +42,7 @@ def quantum_random_bits(k: int, noise: NoiseModel, rng: np.random.Generator) -> 
     """
     if k < 1:
         raise ValueError("need k >= 1 bits")
-    p = _bit_probability(noise)
+    p = readout_p1(circuit_state(ENTROPY_CIRCUIT, noise), noise.readout_flip)
     return (rng.random(k) < p).astype(np.uint8)
 
 
@@ -62,7 +55,10 @@ def von_neumann_extract(bits: np.ndarray) -> np.ndarray:
 
 
 class EntropySource:
-    """Buffered stream of (optionally unbiased) quantum-entropy bits."""
+    """Buffered stream of (optionally unbiased) quantum-entropy bits.
+
+    At p1 (the circuit's P(1)) of 0 or 1 the raw bits are constant, so drawing raises.
+    """
 
     def __init__(self, noise: NoiseModel, seed, unbias: bool = True, chunk: int = 1 << 16):
         self.noise = noise
@@ -72,8 +68,14 @@ class EntropySource:
         self._buffer = np.empty(0, dtype=np.uint8)
         self.bits_consumed = 0
 
+    @cached_property
+    def p1(self) -> float:
+        return readout_p1(circuit_state(ENTROPY_CIRCUIT, self.noise), self.noise.readout_flip)
+
     def _refill(self, need: int) -> None:
         while len(self._buffer) < need:
+            if self.p1 in (0.0, 1.0):
+                raise ValueError(f"entropy circuit reads P(1) = {self.p1} under {self.noise}; it yields no random bits")
             raw = quantum_random_bits(self.chunk, self.noise, self._rng)
             fresh = von_neumann_extract(raw) if self.unbias else raw
             self._buffer = np.concatenate([self._buffer, fresh])

@@ -17,11 +17,10 @@ from scipy import stats
 from . import qagg, qselect
 from .encode import decode_exact, encode
 from .qcore import (
+    DensityMatrix,
     KrausChannel,
     NoiseModel,
-    Observable,
     PAULI_X,
-    PAULI_Z,
     Z_OBSERVABLE,
     amplitude_damping_channel,
     apply_channel,
@@ -32,7 +31,6 @@ from .qcore import (
     prob_one,
     random_density_matrix,
     sample_measurement,
-    trace_distance,
 )
 
 SUITE_VERSION = "1.0"
@@ -109,8 +107,6 @@ def check_dephasing_fixed_points() -> CheckResult:
     for _ in range(30):
         d = rng.uniform(0, 1)
         rho = make_pure_state([1.0, 0.0]).matrix * d + make_pure_state([0.0, 1.0]).matrix * (1 - d)
-        from .qcore import DensityMatrix
-
         state = DensityMatrix(1, rho)
         out = apply_channel(state, dephasing_channel(float(rng.uniform(0, 1))), 0)
         worst = max(worst, float(np.max(np.abs(out.matrix - state.matrix))))
@@ -149,7 +145,7 @@ def check_theorem1_linearity(sets: int = 300) -> CheckResult:
         angles = rng.uniform(0.0, HALF_PI, size=n)
         plan = qagg.build_plan(angles)
         est = qagg.run_plan(plan, noiseless, 1, None, exact=True)
-        worst = max(worst, abs(est.raw_value - float(np.mean(angles))))
+        worst = max(worst, abs(est.value - float(np.mean(angles))))
     return CheckResult("theorem1_linearity", worst < 1e-9, f"worst |estimate - mean| {worst:.2e}")
 
 
@@ -220,7 +216,7 @@ def check_mitigation_efficacy() -> CheckResult:
         z_mit = qagg.mitigate_channel_inversion(est.z_raw, noise, plan.depth)
         mitigated = math.asin(math.sqrt((1 - z_mit) / 2))
         worst_mit = max(worst_mit, abs(mitigated - true_mean))
-        if abs(est.raw_value - true_mean) <= abs(mitigated - true_mean):
+        if abs(est.value - true_mean) <= abs(mitigated - true_mean):
             raw_always_worse = False
     ok = worst_mit < 1e-6 and raw_always_worse
     return CheckResult("mitigation_efficacy", ok, f"worst mitigated error {worst_mit:.2e}")

@@ -74,7 +74,7 @@ def test_criterion_3_theorem1_linearity():
         n = int(rng.integers(1, 10))
         angles = rng.uniform(0.0, HALF_PI, size=n)
         est = qagg.run_plan(qagg.build_plan(angles), noiseless, 1, None, exact=True)
-        worst = max(worst, abs(est.raw_value - float(np.mean(angles))))  # brute-force mean oracle
+        worst = max(worst, abs(est.value - float(np.mean(angles))))  # brute-force mean oracle
     elapsed = time.perf_counter() - t0
     report(3, worst < 1e-9 and elapsed < 30, f"worst |aggregate - mean| {worst:.2e}, {elapsed:.1f}s")
 
@@ -152,7 +152,7 @@ def test_criterion_7_mitigation_efficacy():
         est = qagg.run_plan(plan, noise, 1, None, exact=True)
         z = qagg.mitigate_channel_inversion(est.z_raw, noise, plan.depth)
         worst_mitigated = max(worst_mitigated, abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean))
-        min_raw = min(min_raw, abs(est.raw_value - true_mean))
+        min_raw = min(min_raw, abs(est.value - true_mean))
     # sampled pipeline at 1e5 shots: mitigated error < 0.02 rad in >= 95/100 seeds
     hits = 0
     angles = np.array([0.45, 0.6, 0.75, 0.9, 1.05])

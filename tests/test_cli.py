@@ -6,6 +6,7 @@ import pytest
 
 from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import ConfigError, ExperimentConfig, config_from_dict, parse_config
+from nrqfl.qcore import NoiseModel
 
 FAST = {"n_clients": 4, "samples_per_client": 80, "test_samples": 200, "rounds": 3, "shots": 512}
 
@@ -50,6 +51,35 @@ class TestParseConfig:
 
     def test_rounds_zero_allowed(self):
         assert config_from_dict({"rounds": 0}).rounds == 0
+
+    def test_degenerate_entropy_noise_allowed_without_selection(self):
+        # full selection draws no entropy bits; with selection_m < n_clients it exits 2 (below)
+        assert config_from_dict({"noise": {"gamma": 1.0}}).noise.gamma == 1.0
+
+    def test_bool_noise_rejected_on_direct_construction(self):
+        with pytest.raises(ConfigError, match="noise.p_depol"):
+            ExperimentConfig(noise=NoiseModel(p_depol=True))
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"mitigation": ["bogus"]}, "mitigation"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"noise": {"p_depol": True}}, "p_depol"),
+        ({"noise": {"gamma": "0.1"}}, "gamma"),
+        ({"exact_expectation": "yes"}, "exact_expectation"),
+        ({"record_timing": 1}, "record_timing"),
+        ({"noise": {"gamma": 1.0}, "selection_m": 3}, "noise"),
+    ],
+    ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy"],
+)
+def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(write_cfg(tmp_path, extra)), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCmdRun:

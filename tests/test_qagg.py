@@ -29,15 +29,15 @@ class TestBuildPlan:
     def test_mean_by_construction(self):
         plan = qagg.build_plan([0.2, 0.4, 0.6])
         assert plan.gates == pytest.approx((2 * 0.2 / 3, 2 * 0.4 / 3, 2 * 0.6 / 3))
-        assert exact_raw([0.2, 0.4, 0.6], NOISELESS).raw_value == pytest.approx(0.4, abs=1e-12)
+        assert exact_raw([0.2, 0.4, 0.6], NOISELESS).value == pytest.approx(0.4, abs=1e-12)
 
     def test_single_client(self):
         plan = qagg.build_plan([0.7])
         assert plan.gates == pytest.approx((1.4,))
-        assert exact_raw([0.7], NOISELESS).raw_value == pytest.approx(0.7, abs=1e-12)
+        assert exact_raw([0.7], NOISELESS).value == pytest.approx(0.7, abs=1e-12)
 
     def test_symmetric_pair(self):
-        assert exact_raw([0.1, 0.9], NOISELESS).raw_value == pytest.approx(0.5, abs=1e-12)
+        assert exact_raw([0.1, 0.9], NOISELESS).value == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestRunPlan:
         rng = np.random.default_rng(0)
         for _ in range(50):
             angles = rng.uniform(0, HALF_PI, size=rng.integers(1, 10))
-            assert exact_raw(angles, NOISELESS).raw_value == pytest.approx(np.mean(angles), abs=1e-10)
+            assert exact_raw(angles, NOISELESS).value == pytest.approx(np.mean(angles), abs=1e-10)
 
     def test_depolarizing_attenuation_oracle(self):
         # density-matrix oracle: three channel passes shrink <Z> by (1-4p/3)^3
@@ -62,15 +62,15 @@ class TestRunPlan:
         lam3 = (1 - 4 * 0.05 / 3) ** 3
         expected_z = lam3 * math.cos(2 * np.mean(angles))
         assert est.z_raw == pytest.approx(expected_z, abs=1e-12)
-        assert est.raw_value == pytest.approx(math.asin(math.sqrt((1 - expected_z) / 2)), abs=1e-12)
+        assert est.value == pytest.approx(math.asin(math.sqrt((1 - expected_z) / 2)), abs=1e-12)
 
     def test_two_seeds_within_sampling_envelope(self):
         plan = qagg.build_plan([0.3, 0.5, 0.7])
         shots = 10**5
         a = qagg.run_plan(plan, DEPOL, shots, np.random.default_rng(1))
         b = qagg.run_plan(plan, DEPOL, shots, np.random.default_rng(2))
-        assert a.raw_value != b.raw_value
-        assert abs(a.raw_value - b.raw_value) < 4 * 2 / (2 * math.sqrt(shots))
+        assert a.value != b.value
+        assert abs(a.value - b.value) < 4 * 2 / (2 * math.sqrt(shots))
 
 
 class TestChannelInversion:

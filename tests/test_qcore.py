@@ -16,16 +16,16 @@ from nrqfl.qcore import (
     amplitude_damping_channel,
     apply_channel,
     apply_unitary,
+    circuit_state,
     compose_channels,
     dephasing_channel,
     depolarizing_channel,
     expectation,
     identity_channel,
     make_pure_state,
-    matrix_from_json,
-    matrix_to_json,
     prob_one,
     random_density_matrix,
+    readout_p1,
     ry,
     sample_measurement,
     trace_distance,
@@ -260,6 +260,42 @@ class TestSampleMeasurement:
             sample_measurement(plus_state(), 0, 0, np.random.default_rng(0))
 
 
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestCircuitEngine:
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=1, max_size=9),
+        unit, unit, unit,
+    )
+    @settings(max_examples=200)
+    def test_matches_step_validated_chain(self, gates, p_depol, p_deph, gamma):
+        noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma)
+        oracle = make_pure_state([1.0, 0.0])
+        for theta in gates:
+            oracle = apply_unitary(oracle, ry(theta), 0)
+            for ch in noise.gate_channels():
+                oracle = apply_channel(oracle, ch, 0)
+        engine = circuit_state(gates, noise)
+        assert isinstance(engine, DensityMatrix)
+        assert np.max(np.abs(engine.matrix - oracle.matrix)) <= 1e-12
+
+    @given(st.floats(min_value=0.0, max_value=math.pi), unit)
+    def test_readout_p1_matches_flip_formula(self, theta, f):
+        state = apply_unitary(make_pure_state([1.0, 0.0]), ry(theta), 0)
+        p1 = prob_one(state, 0)
+        assert readout_p1(state, f) == pytest.approx(p1 * (1 - f) + (1 - p1) * f, abs=1e-15)
+
+    def test_readout_p1_on_second_qubit(self):
+        state = make_pure_state([0, 1, 0, 0])  # |01>
+        assert readout_p1(state, 0.1, 1) == pytest.approx(0.9)
+        assert readout_p1(state, 0.1, 0) == pytest.approx(0.1)
+
+    def test_readout_p1_rejects_bad_flip(self):
+        with pytest.raises(ValueError, match="readout_flip"):
+            readout_p1(plus_state(), 1.5)
+
+
 class TestInvariantsAndSerialization:
     def test_density_matrix_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -276,7 +312,3 @@ class TestInvariantsAndSerialization:
     def test_noise_model_range_check(self):
         with pytest.raises(ValueError):
             NoiseModel(p_depol=-0.1)
-
-    def test_json_round_trip(self):
-        m = random_density_matrix(2, np.random.default_rng(7)).matrix
-        assert np.allclose(matrix_from_json(matrix_to_json(m)), m)

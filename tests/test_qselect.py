@@ -120,3 +120,15 @@ class TestEntropySource:
         source = EntropySource(NoiseModel(gamma=0.2), seed=1)
         bits = source.take(10**5)
         assert abs(bits.mean() - 0.5) < 0.007
+
+    def test_degenerate_noise_raises_instead_of_hanging(self):
+        # total decay reads P(1) = 0, so the extractor could never yield a bit
+        source = EntropySource(NoiseModel(gamma=1.0), seed=0)
+        assert source.p1 == 0.0
+        with pytest.raises(ValueError, match="no random bits"):
+            source.take(1)
+
+    def test_degenerate_noise_allows_full_selection(self):
+        # m == n spends no entropy, so the degenerate source is never drawn from
+        source = EntropySource(NoiseModel(gamma=1.0), seed=0)
+        assert select_clients(5, 5, source).selected == (0, 1, 2, 3, 4)
