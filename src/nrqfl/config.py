@@ -15,16 +15,33 @@ class ConfigError(ValueError):
     """Raised with the offending key path on schema violations."""
 
 
-# The flags qagg.AggregationConfig accepts; defined here so that parsing a
+# The flags and limits of qagg's aggregation; defined here so that parsing a
 # config does not import the aggregation engine.
 MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "calibration"})
+MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
+INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
 
+def group_sizes(n: int) -> list:
+    """Group sizes for n clients: <= MAX_GROUP each, as even as possible, larger groups first.
+
+    qagg runs one circuit per (parameter, group), so these are its circuit depths.
+    """
+    n_groups = -(-n // MAX_GROUP)
+    base, extra = divmod(n, n_groups)
+    return [base + 1] * extra + [base] * (n_groups - extra)
+
+
+def _is_real(v) -> bool:
+    """A finite real number that is not a bool (NaN fails the comparison)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < float("inf")
+
+
 def _check_noise(values: dict) -> None:
     for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+        if not _is_real(v) or not 0.0 <= v <= 1.0:
             raise ConfigError(f"noise.{name} must be a probability in [0, 1], got {v!r}")
 
 
@@ -60,10 +77,12 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < lo:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not 0.0 <= self.skew <= 1.0:
-            raise ConfigError(f"skew must be in [0, 1], got {self.skew}")
-        if self.lr <= 0 or self.class_sep <= 0 or self.fixed_weight_bound <= 0:
-            raise ConfigError("lr, class_sep and fixed_weight_bound must be positive")
+        if not _is_real(self.skew) or not 0.0 <= self.skew <= 1.0:
+            raise ConfigError(f"skew must be a number in [0, 1], got {self.skew!r}")
+        for name in ("lr", "class_sep", "fixed_weight_bound"):
+            v = getattr(self, name)
+            if not _is_real(v) or v <= 0:
+                raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
         strategies = tuple(self.strategies)
         if not strategies or any(s not in ("fedavg", "qfl", "nrqfl") for s in strategies):
             raise ConfigError(f"strategies must be a non-empty subset of fedavg/qfl/nrqfl, got {strategies}")
@@ -76,11 +95,20 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         _check_noise({name: getattr(self.noise, name) for name in _NOISE_KEYS})
-        if self.selection_m is not None:
-            if not 1 <= self.selection_m <= self.n_clients:
-                raise ConfigError(f"selection_m must be in 1..n_clients, got {self.selection_m}")
-            if self.selection_m < self.n_clients and EntropySource(self.noise, seed=0).p1 in (0.0, 1.0):
+        m = self.selection_m
+        if m is not None:
+            if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.n_clients:
+                raise ConfigError(f"selection_m must be null or an integer in 1..n_clients, got {m!r}")
+            if m < self.n_clients and EntropySource(self.noise, seed=0).p1 in (0.0, 1.0):
                 raise ConfigError("noise makes the selection entropy circuit read P(1) = 0 or 1, so it yields no random bits")
+        if "nrqfl" in strategies and {"calibration", "channel_inversion"} & set(self.mitigation):
+            # both mitigations divide a depth-d circuit's <Z> by about (1 - 4p/3)^d
+            for d in sorted(set(group_sizes(self.n_clients if m is None else m))):
+                attenuation = self.noise.depol_factor ** d
+                if attenuation < INVERSION_FLOOR:
+                    raise ConfigError(
+                        f"noise.p_depol = {self.noise.p_depol} attenuates depth-{d} nrqfl circuits by "
+                        f"(1 - 4p/3)^{d} = {attenuation:.3g} < {INVERSION_FLOOR}; mitigation cannot undo that")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         import dataclasses

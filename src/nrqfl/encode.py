@@ -33,16 +33,26 @@ class WeightBounds:
 
 def normalize(w: float, bounds: WeightBounds) -> float:
     """Affine map to an angle in [0, pi/2]; out-of-range weights are clamped."""
-    if not math.isfinite(w):
+    return float(normalize_array(w, bounds.lo, bounds.hi))
+
+
+def normalize_array(values, lo, hi) -> np.ndarray:
+    """`normalize` elementwise, with bounds that broadcast (an N x P array against length-P lo and hi)."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValueError("weight must be finite")
-    frac = (w - bounds.lo) / (bounds.hi - bounds.lo)
-    return HALF_PI * min(max(frac, 0.0), 1.0)
+    return HALF_PI * np.clip((values - lo) / (hi - lo), 0.0, 1.0)
 
 
 def denormalize(angle: float, bounds: WeightBounds) -> float:
     """Exact inverse of `normalize` on [lo, hi]."""
-    _check_angle(angle)
-    return bounds.lo + (bounds.hi - bounds.lo) * angle / HALF_PI
+    return float(denormalize_array(angle, bounds.lo, bounds.hi))
+
+
+def denormalize_array(angles, lo, hi) -> np.ndarray:
+    """`denormalize` elementwise, with bounds that broadcast."""
+    _check_angle(angles)
+    return lo + (hi - lo) * np.asarray(angles, dtype=float) / HALF_PI
 
 
 def encode(angle: float) -> DensityMatrix:
@@ -71,10 +81,9 @@ def decode_shots(counts) -> float:
     return math.asin(math.sqrt(ones / total))
 
 
-def z_to_angle(z: float) -> float:
-    """Decode an (already clamped) <Z> value: P(1) = (1 - z)/2."""
-    z = min(max(z, -1.0), 1.0)
-    return math.asin(math.sqrt((1.0 - z) / 2.0))
+def z_to_angle(z):
+    """Decode <Z> values (a float or an array), clamped to [-1, 1]: P(1) = (1 - z)/2."""
+    return np.arcsin(np.sqrt((1.0 - np.clip(z, -1.0, 1.0)) / 2.0))
 
 
 def angle_to_z(angle: float) -> float:
@@ -93,6 +102,8 @@ def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds:
     return WeightBounds(lo, hi)
 
 
-def _check_angle(angle: float) -> None:
-    if not (0.0 <= angle <= HALF_PI + 1e-12):
-        raise ValueError(f"angle {angle} outside [0, pi/2]")
+def _check_angle(angle) -> None:
+    a = np.asarray(angle, dtype=float)
+    inside = (0.0 <= a) & (a <= HALF_PI + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"angle {a[~inside].flat[0]} outside [0, pi/2]")

@@ -5,7 +5,8 @@ about a common axis these add, so the noiseless circuit prepares exactly the
 state encoding mean(a). One noise-channel pass per gate defines the circuit
 depth d used by the variance bound. More than 9 clients are split into groups
 of <= 9 (depth stays below 10) whose results are combined by a size-weighted
-classical mean.
+classical mean. `aggregate` evolves the circuits of all parameters of a group
+together (`qcore.circuit_bloch`); `build_plan` / `run_plan` run one circuit.
 
 Mitigation layers, selected by flags in AggregationConfig:
   - measurement_averaging: average <Z> over `repeats` independent executions
@@ -18,26 +19,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .config import MITIGATION_FLAGS
-from .encode import HALF_PI, angle_to_z, denormalize, normalize, z_to_angle
+from .config import INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, group_sizes
+from .encode import HALF_PI, angle_to_z, denormalize_array, normalize_array, z_to_angle
 from .qcore import (
     DensityMatrix,
     KrausChannel,
     NoiseModel,
     Observable,
     apply_channel,
+    circuit_bloch,
     circuit_state,
     expectation,
+    flipped_p1,
     readout_p1,
     sample_measurement,
     trace_distance,
 )
-
-MAX_GROUP = 9  # keeps circuit depth under 10
-INVERSION_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,9 @@ class TransferFunction:
         if self.lam_hat <= 0.0:
             raise ValueError("fitted attenuation must be positive")
 
-    def invert(self, noisy_z: float) -> float:
-        return min(max((noisy_z - self.b_hat) / self.lam_hat, -1.0), 1.0)
+    def invert(self, noisy_z):
+        """Estimated ideal <Z> of noisy values (a float or an array), clamped to [-1, 1]."""
+        return np.clip((noisy_z - self.b_hat) / self.lam_hat, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,14 @@ def run_plan(
     return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1, variance_estimate=var)
 
 
-def mitigate_channel_inversion(raw_z: float, noise: NoiseModel, depth: int) -> float:
-    """Undo depolarizing attenuation: z -> z / (1 - 4p/3)^d, clamped to [-1, 1]."""
+def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
+    """Undo depolarizing attenuation: z -> z / (1 - 4p/3)^d, clamped to [-1, 1] (a float or an array)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    lam = 1.0 - 4.0 * noise.p_depol / 3.0
-    lam_d = lam ** depth
+    lam_d = noise.depol_factor ** depth
     if lam_d < INVERSION_FLOOR:
         raise ValueError(f"attenuation {lam_d:.3g} below {INVERSION_FLOOR}; depth/noise out of mitigable range")
-    return min(max(raw_z / lam_d, -1.0), 1.0)
+    return np.clip(raw_z / lam_d, -1.0, 1.0)
 
 
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)
@@ -199,10 +200,10 @@ def calibrate(
     return TransferFunction(float(lam_hat), float(b_hat))
 
 
-def _split_groups(n: int) -> list:
-    """Client index groups of size <= MAX_GROUP, as even as possible."""
-    n_groups = math.ceil(n / MAX_GROUP)
-    return [list(chunk) for chunk in np.array_split(np.arange(n), n_groups)]
+@lru_cache(maxsize=64)
+def _default_transfer(noise: NoiseModel, depth: int) -> TransferFunction:
+    """`calibrate(noise, depth)` with its default exact probes: deterministic, so fitted once."""
+    return calibrate(noise, depth)
 
 
 def _rng_for(seed_key, *suffix) -> np.random.Generator:
@@ -210,24 +211,12 @@ def _rng_for(seed_key, *suffix) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _estimate_group_z(plan, cfg, noise, seed_key, param_idx, group_idx):
-    repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
-    if cfg.exact_expectation:
-        return run_plan(plan, noise, cfg.shots, None, exact=True).z_raw
-    zs = [
-        run_plan(plan, noise, cfg.shots, _rng_for(seed_key, param_idx, group_idx, r)).z_raw
-        for r in range(repeats)
-    ]
-    return float(np.mean(zs))
-
-
-def _mitigate_z(z: float, cfg, noise, depth: int, transfer: TransferFunction | None) -> float:
+def _mitigate_z(z, cfg, noise, depth: int, transfer: TransferFunction | None):
     if "calibration" in cfg.mitigation:
-        tf = transfer if transfer is not None else calibrate(noise, depth)
-        return tf.invert(z)
+        return (transfer if transfer is not None else _default_transfer(noise, depth)).invert(z)
     if "channel_inversion" in cfg.mitigation:
         return mitigate_channel_inversion(z, noise, depth)
-    return min(max(z, -1.0), 1.0)
+    return np.clip(z, -1.0, 1.0)
 
 
 def aggregate(
@@ -240,9 +229,11 @@ def aggregate(
 ) -> AggregateResult:
     """Quantum-aggregate N client parameter vectors into their (uniform) mean.
 
-    Per parameter: normalize -> build plan -> run (with repeats) -> mitigate
-    -> decode -> denormalize. Groups of more than 9 clients are combined by a
-    size-weighted classical mean. RNG streams are keyed by
+    normalize -> per client group, the circuits of all P parameters in one
+    `circuit_bloch` call -> sample (with repeats) -> mitigate -> decode ->
+    size-weighted mean over groups -> denormalize. Groups of more than 9
+    clients are combined by that classical mean. Each (parameter, group,
+    repeat) draws its shots from its own RNG stream keyed by
     (seed_key, parameter, group, repeat), so results are independent of
     execution order.
     """
@@ -255,32 +246,27 @@ def aggregate(
     if len(bounds) != p:
         raise ValueError(f"need {p} per-parameter bounds, got {len(bounds)}")
 
-    groups = _split_groups(n)
-    transfers = {}
-    if "calibration" in cfg.mitigation:
-        for g in groups:
-            d = len(g)
-            if d not in transfers:
-                transfers[d] = transfer if transfer is not None else calibrate(noise, d)
-
-    out = np.empty(p)
-    clip_count = 0
-    for j in range(p):
-        b = bounds[j]
-        values = vectors[:, j]
-        clip_count += int(np.sum((values < b.lo) | (values > b.hi)))
-        angles = np.array([normalize(v, b) for v in values])
-        group_angles = []
-        group_sizes = []
-        for g_idx, g in enumerate(groups):
-            plan = build_plan(angles[g])
-            z = _estimate_group_z(plan, cfg, noise, seed_key, j, g_idx)
-            z = _mitigate_z(z, cfg, noise, plan.depth, transfers.get(plan.depth, transfer))
-            group_angles.append(z_to_angle(z))
-            group_sizes.append(len(g))
-        mean_angle = float(np.average(group_angles, weights=group_sizes))
-        out[j] = denormalize(mean_angle, b)
-    return AggregateResult(vector=out, clip_count=clip_count)
+    lo = np.array([b.lo for b in bounds])
+    hi = np.array([b.hi for b in bounds])
+    clip_count = int(np.sum((vectors < lo) | (vectors > hi)))
+    angles = normalize_array(vectors, lo, hi)
+    repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
+    sizes = group_sizes(n)
+    group_angles = np.empty((len(sizes), p))
+    start = 0
+    for g, d in enumerate(sizes):
+        _, z = circuit_bloch((2.0 * angles[start:start + d] / d).T, noise)
+        start += d
+        p1 = flipped_p1(np.clip((1.0 - z) / 2.0, 0.0, 1.0), noise.readout_flip)
+        if cfg.exact_expectation:
+            z = 1.0 - 2.0 * p1
+        else:
+            ones = np.array([[_rng_for(seed_key, j, g, r).binomial(cfg.shots, p1[j]) for r in range(repeats)]
+                             for j in range(p)])
+            z = np.mean(1.0 - 2.0 * (ones / cfg.shots), axis=1)
+        group_angles[g] = z_to_angle(_mitigate_z(z, cfg, noise, d, transfer))
+    mean_angle = np.average(group_angles, axis=0, weights=sizes)
+    return AggregateResult(vector=denormalize_array(mean_angle, lo, hi), clip_count=clip_count)
 
 
 def replicated_aggregate(
@@ -346,9 +332,8 @@ def empirical_mitigated_variance(
     """Sample variance of the calibrated estimate; grows with depth because the
     inverse transfer amplifies shot noise by 1/lam_hat."""
     ones = _sample_ones(plan, noise, shots, trials, rng)
-    tf = transfer if transfer is not None else calibrate(noise, plan.depth)
-    zs = 1.0 - 2.0 * ones / shots
-    angles = [z_to_angle(tf.invert(z)) for z in zs]
+    tf = transfer if transfer is not None else _default_transfer(noise, plan.depth)
+    angles = z_to_angle(tf.invert(1.0 - 2.0 * ones / shots))
     return float(np.var(angles, ddof=1))
 
 

@@ -6,9 +6,12 @@ invariants (Hermitian, unit trace, PSD, channel completeness). All operations
 are pure functions of their inputs; the only stateful object is the caller's
 RNG stream.
 
-`circuit_state` + `readout_p1` are the one engine for the noisy one-qubit
-circuits (Ry gates, a noise pass after each) and validate only the final state;
-the step-validated `apply_unitary` / `apply_channel` chain is their oracle.
+`circuit_bloch` is the one engine for the noisy one-qubit circuits (Ry gates,
+a noise pass after each): on one qubit every gate and channel is a closed-form
+map of the Bloch vector, so a whole batch of circuits evolves as numpy arrays
+and only the final states are validated. `circuit_state` + `readout_p1` give a
+single circuit's state and readout; the step-validated `apply_unitary` /
+`apply_channel` chain is their oracle.
 
 Qubit index 0 is the leftmost tensor factor (most significant bit of the
 computational-basis index).
@@ -117,6 +120,11 @@ class NoiseModel:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+
+    @property
+    def depol_factor(self) -> float:
+        """Bloch-vector shrink factor 1 - 4p/3 of one depolarizing pass."""
+        return 1.0 - 4.0 * self.p_depol / 3.0
 
     @property
     def is_noiseless(self) -> bool:
@@ -230,36 +238,48 @@ def apply_unitary(state: DensityMatrix, u, target_qubit: int) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, big @ state.matrix @ big.conj().T)
 
 
-def _kraus_sum(m: np.ndarray, operators) -> np.ndarray:
-    """sum_k E_k m E_k^dag, unvalidated."""
-    out = np.zeros_like(m)
-    for e in operators:
-        out += e @ m @ e.conj().T
-    return out
-
-
 def apply_channel(state: DensityMatrix, channel: KrausChannel, target_qubit: int) -> DensityMatrix:
     """Kraus sum E(rho) = sum_k E_k rho E_k^dag on the target qubit."""
     if channel.dim != 2:
         raise ValueError("only single-qubit channels are supported")
-    ops = [_lift(e, state.n_qubits, target_qubit) for e in channel.operators]
-    return DensityMatrix(state.n_qubits, _kraus_sum(state.matrix, ops))
+    out = np.zeros_like(state.matrix)
+    for e in channel.operators:
+        big = _lift(e, state.n_qubits, target_qubit)
+        out += big @ state.matrix @ big.conj().T
+    return DensityMatrix(state.n_qubits, out)
+
+
+def circuit_bloch(gates, noise: NoiseModel) -> tuple:
+    """Bloch (x, z) of |0> through Ry(theta) per gate angle, each gate followed by the noise pass.
+
+    `gates` has shape (..., d): the last axis is one circuit's angles in order, the
+    leading axes index independent circuits. Closed forms on the Bloch vector
+    (Nielsen & Chuang 8.3): Ry turns (x, z) in the xz-plane, depolarizing scales
+    x and z by 1 - 4p/3, dephasing scales x by 1 - 2p, amplitude damping maps
+    x -> sqrt(1 - gamma) x and z -> gamma + (1 - gamma) z; y stays 0.
+    """
+    gates = np.asarray(gates, dtype=float)
+    x = np.zeros(gates.shape[:-1])
+    z = np.ones(gates.shape[:-1])
+    shrink, deph = noise.depol_factor, 1.0 - 2.0 * noise.p_deph
+    damp, keep = math.sqrt(1.0 - noise.gamma), 1.0 - noise.gamma
+    for k in range(gates.shape[-1]):
+        c, s = np.cos(gates[..., k]), np.sin(gates[..., k])
+        x, z = c * x + s * z, c * z - s * x
+        x, z = shrink * x, shrink * z
+        x = damp * (deph * x)
+        z = noise.gamma + keep * z
+    if not np.all(np.isfinite(gates)):
+        raise ValueError("rotation angle must be finite")
+    if np.any(x * x + z * z > 1.0 + PSD_TOL):  # eigenvalues of the state are (1 +- |r|)/2
+        raise ValueError("state is not positive semidefinite")
+    return x, z
 
 
 def circuit_state(gates, noise: NoiseModel) -> DensityMatrix:
-    """|0> through Ry(theta) per gate angle, each followed by the noise pass.
-
-    The apply_unitary / apply_channel chain's operations, in order, on raw matrices.
-    """
-    channels = noise.gate_channels()
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    m = np.outer(ket0, ket0.conj())
-    for theta in gates:
-        u = ry(theta)
-        m = u @ m @ u.conj().T
-        for ch in channels:
-            m = _kraus_sum(m, ch.operators)
-    return DensityMatrix(1, m)
+    """The validated state of one circuit of `circuit_bloch`."""
+    x, z = (float(v) for v in circuit_bloch(gates, noise))
+    return DensityMatrix(1, np.array([[(1.0 + z) / 2.0, x / 2.0], [x / 2.0, (1.0 - z) / 2.0]], dtype=complex))
 
 
 def expectation(state: DensityMatrix, m: Observable) -> float:
@@ -295,7 +315,11 @@ def readout_p1(state: DensityMatrix, readout_flip: float, target_qubit: int = 0)
     """P(read 1) on the target qubit when each outcome flips with probability readout_flip."""
     if not (0.0 <= readout_flip <= 1.0):
         raise ValueError("readout_flip must be in [0, 1]")
-    p1 = prob_one(state, target_qubit)
+    return flipped_p1(prob_one(state, target_qubit), readout_flip)
+
+
+def flipped_p1(p1, readout_flip: float):
+    """P(read 1) from the true P(1) (a float or an array) when each outcome flips with probability readout_flip."""
     return p1 * (1 - readout_flip) + (1 - p1) * readout_flip
 
 

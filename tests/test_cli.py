@@ -56,6 +56,16 @@ class TestParseConfig:
         # full selection draws no entropy bits; with selection_m < n_clients it exits 2 (below)
         assert config_from_dict({"noise": {"gamma": 1.0}}).noise.gamma == 1.0
 
+    def test_unmitigable_depolarizing_only_rejected_where_mitigated(self):
+        noise = {"p_depol": 0.8}  # 1 - 4p/3 < 0: odd-depth circuits invert the sign of <Z>
+        assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.p_depol == 0.8
+        assert config_from_dict({"noise": noise, "mitigation": ["measurement_averaging"]}).noise.p_depol == 0.8
+        assert config_from_dict({"noise": noise, "n_clients": 4}).n_clients == 4  # (1 - 4p/3)^4 = 2e-5
+        with pytest.raises(ConfigError, match="noise.p_depol"):
+            config_from_dict({"noise": noise, "n_clients": 13, "selection_m": 11})  # groups of 6 and 5
+        with pytest.raises(ConfigError, match="noise.p_depol"):
+            config_from_dict({"noise": {"p_depol": 0.75}, "n_clients": 4})
+
     def test_bool_noise_rejected_on_direct_construction(self):
         with pytest.raises(ConfigError, match="noise.p_depol"):
             ExperimentConfig(noise=NoiseModel(p_depol=True))
@@ -72,8 +82,18 @@ class TestParseConfig:
         ({"exact_expectation": "yes"}, "exact_expectation"),
         ({"record_timing": 1}, "record_timing"),
         ({"noise": {"gamma": 1.0}, "selection_m": 3}, "noise"),
+        ({"selection_m": True}, "selection_m"),
+        ({"selection_m": "3"}, "selection_m"),
+        ({"lr": "x"}, "lr"),
+        ({"skew": None}, "skew"),
+        ({"class_sep": True}, "class_sep"),
+        ({"fixed_weight_bound": "4"}, "fixed_weight_bound"),
+        ({"n_clients": 5, "noise": {"p_depol": 0.8}}, "noise.p_depol"),
+        ({"n_clients": 5, "noise": {"p_depol": 0.8}, "mitigation": ["channel_inversion"]}, "noise.p_depol"),
     ],
-    ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy"],
+    ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
+         "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
+         "depol-calibration", "depol-inversion"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
     out = tmp_path / "never"

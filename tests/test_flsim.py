@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrqfl import flsim
+from nrqfl import flsim, qagg
 from nrqfl.config import ExperimentConfig
-from nrqfl.qcore import NoiseModel
+from nrqfl.encode import bounds_from_values, encode, normalize
+from nrqfl.qcore import NoiseModel, compose_channels, identity_channel
 
 FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
 
@@ -166,6 +167,18 @@ class TestRunExperiment:
         assert all(r.epsilon > 0 for r in recs)
         recs = flsim.run_experiment(fast_cfg(rounds=2), "fedavg")
         assert all(r.epsilon == 0 for r in recs)
+
+    def test_round_epsilon_matches_fresh_channel(self):
+        noise = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02)
+        updates = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 6))
+        bounds = [bounds_from_values(updates[:, j]) for j in range(6)]
+        channel = identity_channel()
+        for ch in noise.gate_channels():
+            channel = compose_channels(channel, ch)
+        mean_angle = float(np.mean([normalize(float(v), b) for v, b in zip(updates.mean(axis=0), bounds)]))
+        for _ in range(2):  # the second call reuses the memoized channel
+            assert flsim._round_epsilon(noise, updates, bounds) == (
+                qagg.noise_deviation(encode(mean_angle), channel), mean_angle)
 
     def test_selection_subset_size(self):
         recs = flsim.run_experiment(fast_cfg(rounds=3, selection_m=3), "fedavg")

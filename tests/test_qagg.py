@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nrqfl import qagg
-from nrqfl.encode import HALF_PI, WeightBounds
+from nrqfl.encode import HALF_PI, WeightBounds, denormalize, normalize
 from nrqfl.qcore import (
     NoiseModel,
     Z_OBSERVABLE,
@@ -23,6 +24,39 @@ DEPOL = NoiseModel(p_depol=0.05)
 def exact_raw(angles, noise):
     plan = qagg.build_plan(angles)
     return qagg.run_plan(plan, noise, 1, None, exact=True)
+
+
+def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,), transfer=None):
+    """`aggregate` as one loop per parameter and group over build_plan + run_plan: the oracle."""
+    vectors = np.asarray(client_vectors, dtype=float)
+    n, p = vectors.shape
+    groups = [list(c) for c in np.array_split(np.arange(n), math.ceil(n / qagg.MAX_GROUP))]
+    repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
+    out, clip_count = np.empty(p), 0
+    for j, b in enumerate(bounds):
+        values = vectors[:, j]
+        clip_count += int(np.sum((values < b.lo) | (values > b.hi)))
+        angles = np.array([normalize(v, b) for v in values])
+        group_angles = []
+        for g_idx, g in enumerate(groups):
+            plan = qagg.build_plan(angles[g])
+            if cfg.exact_expectation:
+                z = qagg.run_plan(plan, noise, cfg.shots, None, exact=True).z_raw
+            else:
+                z = float(np.mean([qagg.run_plan(plan, noise, cfg.shots, qagg._rng_for(seed_key, j, g_idx, r)).z_raw
+                                   for r in range(repeats)]))
+            if "calibration" in cfg.mitigation:
+                z = (transfer if transfer is not None else qagg.calibrate(noise, plan.depth)).invert(z)
+            elif "channel_inversion" in cfg.mitigation:
+                z = qagg.mitigate_channel_inversion(z, noise, plan.depth)
+            z = min(max(float(z), -1.0), 1.0)
+            group_angles.append(math.asin(math.sqrt((1.0 - z) / 2.0)))
+        out[j] = denormalize(float(np.average(group_angles, weights=[len(g) for g in groups])), b)
+    return out, clip_count
+
+
+ALL_NOISE = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02, readout_flip=0.01)
+MITIGATION_SUBSETS = [frozenset(c) for k in range(4) for c in itertools.combinations(sorted(qagg.MITIGATION_FLAGS), k)]
 
 
 class TestBuildPlan:
@@ -154,6 +188,70 @@ class TestAggregate:
         a = qagg.aggregate(vecs, self.wide_bounds(2), cfg, DEPOL, seed_key=(5,))
         b = qagg.aggregate(vecs, self.wide_bounds(2), cfg, DEPOL, seed_key=(5,))
         assert np.array_equal(a.vector, b.vector)
+
+
+class TestAggregateMatchesReferenceLoop:
+    # bounds narrower than the data on parameter 0, so some values clip
+    BOUNDS = [WeightBounds(-1.0, 1.0), WeightBounds(-3.0, 2.5), WeightBounds(-2.0, 2.0)]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("mitigation", MITIGATION_SUBSETS, ids=lambda m: "+".join(sorted(m)) or "none")
+    def test_every_client_count(self, mitigation, exact):
+        rng = np.random.default_rng(20)
+        cfg = qagg.AggregationConfig(shots=300, repeats=3, mitigation=mitigation, exact_expectation=exact)
+        clipped = 0
+        for n in range(1, 26):
+            vecs = rng.uniform(-2.0, 2.0, size=(n, 3))
+            got = qagg.aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, seed_key=(4, n))
+            want, clip_count = reference_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, seed_key=(4, n))
+            assert got.clip_count == clip_count
+            assert np.max(np.abs(got.vector - want)) <= 1e-12
+            clipped += clip_count
+        assert clipped > 0
+
+    @pytest.mark.parametrize("n_servers", [1, 3])
+    def test_replicated(self, n_servers):
+        cfg = qagg.AggregationConfig(shots=300, repeats=3, mitigation=frozenset(qagg.MITIGATION_FLAGS))
+        vecs = np.random.default_rng(21).uniform(-2.0, 2.0, size=(11, 3))
+        got = qagg.replicated_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, n_servers, seed_key=(8,))
+        keys = [(8,)] if n_servers == 1 else [(8, s) for s in range(n_servers)]
+        runs = [reference_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, seed_key=k) for k in keys]
+        assert got.clip_count == runs[0][1]
+        assert np.max(np.abs(got.vector - np.median([v for v, _ in runs], axis=0))) <= 1e-12
+
+    def test_explicit_transfer_bypasses_the_cache(self):
+        cfg = qagg.AggregationConfig(shots=300, mitigation=frozenset({"calibration"}))
+        vecs = np.random.default_rng(22).uniform(-2.0, 2.0, size=(4, 3))
+        tf = qagg.TransferFunction(0.8, 0.05)
+        qagg._default_transfer.cache_clear()
+        got = qagg.aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, transfer=tf)
+        assert qagg._default_transfer.cache_info().currsize == 0
+        want, _ = reference_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, transfer=tf)
+        assert np.max(np.abs(got.vector - want)) <= 1e-12
+
+
+class TestCalibrationCache:
+    def test_cached_fit_equals_fresh_fit_per_noise_and_depth(self):
+        qagg._default_transfer.cache_clear()
+        fits = {}
+        for noise in (DEPOL, ALL_NOISE):
+            for d in (3, 5):
+                fits[noise, d] = qagg._default_transfer(noise, d)
+                assert fits[noise, d] == qagg.calibrate(noise, d)
+                assert qagg._default_transfer(noise, d) is fits[noise, d]
+        assert len(set(fits.values())) == 4
+        assert qagg._default_transfer.cache_info().misses == 4
+
+    def test_aggregate_fits_once_per_depth(self, monkeypatch):
+        calls = []
+        real = qagg.calibrate
+        monkeypatch.setattr(qagg, "calibrate", lambda noise, depth: calls.append(depth) or real(noise, depth))
+        qagg._default_transfer.cache_clear()
+        cfg = qagg.AggregationConfig(shots=300, mitigation=frozenset({"calibration"}))
+        vecs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(11, 2))  # groups of 6 and 5
+        for key in range(3):
+            qagg.aggregate(vecs, [WeightBounds(-1, 1)] * 2, cfg, ALL_NOISE, seed_key=(key,))
+        assert sorted(calls) == [5, 6]
 
 
 class TestReplicatedAggregate:

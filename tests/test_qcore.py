@@ -16,11 +16,13 @@ from nrqfl.qcore import (
     amplitude_damping_channel,
     apply_channel,
     apply_unitary,
+    circuit_bloch,
     circuit_state,
     compose_channels,
     dephasing_channel,
     depolarizing_channel,
     expectation,
+    flipped_p1,
     identity_channel,
     make_pure_state,
     prob_one,
@@ -279,6 +281,37 @@ class TestCircuitEngine:
         engine = circuit_state(gates, noise)
         assert isinstance(engine, DensityMatrix)
         assert np.max(np.abs(engine.matrix - oracle.matrix)) <= 1e-12
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 9), unit, unit, unit, unit)
+    @settings(max_examples=100)
+    def test_batch_matches_step_validated_chain_per_row(self, data, rows, depth, p_depol, p_deph, gamma, flip):
+        angle = st.floats(min_value=0.0, max_value=math.pi)
+        gates = np.array(data.draw(st.lists(st.lists(angle, min_size=depth, max_size=depth),
+                                            min_size=rows, max_size=rows)))
+        noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma, readout_flip=flip)
+        x, z = circuit_bloch(gates, noise)
+        assert x.shape == z.shape == (rows,)
+        p1 = flipped_p1(np.clip((1.0 - z) / 2.0, 0.0, 1.0), flip)
+        for i, row in enumerate(gates):
+            oracle = make_pure_state([1.0, 0.0])
+            for theta in row:
+                oracle = apply_unitary(oracle, ry(theta), 0)
+                for ch in noise.gate_channels():
+                    oracle = apply_channel(oracle, ch, 0)
+            m = oracle.matrix
+            assert abs(x[i] - 2 * m[0, 1].real) <= 1e-12
+            assert abs(z[i] - (m[0, 0] - m[1, 1]).real) <= 1e-12
+            assert abs(p1[i] - readout_p1(oracle, flip)) <= 1e-12
+
+    def test_batch_leading_axes_and_rejections(self):
+        noise = NoiseModel(p_depol=0.05, gamma=0.03)
+        gates = np.random.default_rng(0).uniform(0, math.pi, size=(2, 3, 4))
+        x, z = circuit_bloch(gates, noise)
+        flat_x, flat_z = circuit_bloch(gates.reshape(6, 4), noise)
+        assert np.array_equal(x.ravel(), flat_x) and np.array_equal(z.ravel(), flat_z)
+        gates[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            circuit_bloch(gates, noise)
 
     @given(st.floats(min_value=0.0, max_value=math.pi), unit)
     def test_readout_p1_matches_flip_formula(self, theta, f):
