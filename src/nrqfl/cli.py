@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flsim, qagg, validate
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, group_depths, parse_config
 
 CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
 
@@ -116,7 +116,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
             run_cfg = cfg.replace(n_clients=int(value), selection_m=None)
         else:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-        depth = min(run_cfg.n_clients, qagg.MAX_GROUP)
+        depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit
         for strategy in run_cfg.strategies:
             records = flsim.run_experiment(run_cfg, strategy)
             final = records[-1]

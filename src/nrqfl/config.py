@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .qcore import NoiseModel
+import numpy as np
+
+from .qcore import NoiseModel, circuit_state, readout_p1
 from .qselect import EntropySource
 
 
@@ -20,8 +23,14 @@ class ConfigError(ValueError):
 MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "calibration"})
 MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
+DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
+
+
+def _split(n: int) -> tuple:
+    n_groups = -(-n // MAX_GROUP)
+    return (n_groups, *divmod(n, n_groups))
 
 
 def group_sizes(n: int) -> list:
@@ -29,14 +38,36 @@ def group_sizes(n: int) -> list:
 
     qagg runs one circuit per (parameter, group), so these are its circuit depths.
     """
-    n_groups = -(-n // MAX_GROUP)
-    base, extra = divmod(n, n_groups)
+    n_groups, base, extra = _split(n)
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
+def group_depths(n: int) -> list:
+    """The distinct values of group_sizes(n), deepest first, without building that list."""
+    _, base, extra = _split(n)
+    return [base + 1, base] if extra else [base]
+
+
+def calibration_slope(noise: NoiseModel, depth: int) -> float:
+    """Slope lam_hat of qagg.calibrate's default exact fit at this depth.
+
+    The same qcore calls and float operations as the fit itself, so a config
+    is rejected exactly when its calibration would fail.
+    """
+    ideal = [math.cos(2.0 * a) for a in DEFAULT_PROBES]
+    noisy = [1.0 - 2.0 * readout_p1(circuit_state([2.0 * a / depth] * depth, noise), noise.readout_flip)
+             for a in DEFAULT_PROBES]
+    return float(np.polyfit(ideal, noisy, 1)[0])
+
+
 def _is_real(v) -> bool:
-    """A finite real number that is not a bool (NaN fails the comparison)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < float("inf")
+    """A finite real number that is not a bool; ints too large for a float fail too."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_noise(values: dict) -> None:
@@ -71,12 +102,15 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        minimums = dict(seed=0, n_clients=1, samples_per_client=1, test_samples=1, classes=1, feature_dim=1,
+        # the workload needs 2+ clients and classes and 2..8 features (flsim.make_partition)
+        minimums = dict(seed=0, n_clients=2, samples_per_client=1, test_samples=1, classes=2, feature_dim=2,
                         rounds=0, local_epochs=1, shots=1, repeats=1, n_servers=1)
         for name, lo in minimums.items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < lo:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if self.feature_dim > 8:
+            raise ConfigError(f"feature_dim must be an integer in 2..8, got {self.feature_dim!r}")
         if not _is_real(self.skew) or not 0.0 <= self.skew <= 1.0:
             raise ConfigError(f"skew must be a number in [0, 1], got {self.skew!r}")
         for name in ("lr", "class_sep", "fixed_weight_bound"):
@@ -94,6 +128,8 @@ class ExperimentConfig:
         for name in ("exact_expectation", "record_timing"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         _check_noise({name: getattr(self.noise, name) for name in _NOISE_KEYS})
         m = self.selection_m
         if m is not None:
@@ -103,12 +139,18 @@ class ExperimentConfig:
                 raise ConfigError("noise makes the selection entropy circuit read P(1) = 0 or 1, so it yields no random bits")
         if "nrqfl" in strategies and {"calibration", "channel_inversion"} & set(self.mitigation):
             # both mitigations divide a depth-d circuit's <Z> by about (1 - 4p/3)^d
-            for d in sorted(set(group_sizes(self.n_clients if m is None else m))):
+            for d in group_depths(self.n_clients if m is None else m):
                 attenuation = self.noise.depol_factor ** d
                 if attenuation < INVERSION_FLOOR:
                     raise ConfigError(
                         f"noise.p_depol = {self.noise.p_depol} attenuates depth-{d} nrqfl circuits by "
                         f"(1 - 4p/3)^{d} = {attenuation:.3g} < {INVERSION_FLOOR}; mitigation cannot undo that")
+                if "calibration" in self.mitigation and (slope := calibration_slope(self.noise, d)) <= 0.0:
+                    named = ", ".join(f"noise.{k} = {getattr(self.noise, k)}" for k in _NOISE_KEYS
+                                      if getattr(self.noise, k))
+                    raise ConfigError(
+                        f"under {named}, nrqfl calibration fits a slope of {slope:.3g} <= 0 to depth-{d} "
+                        "circuits and cannot invert it")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         import dataclasses

@@ -120,41 +120,43 @@ def make_partition(
     return DataPartition(client_x, client_y, test_x, test_y, classes, skew)
 
 
-def _unpack(weights: np.ndarray, feature_dim: int, classes: int) -> np.ndarray:
-    return weights.reshape(feature_dim + 1, classes)
-
-
-def _logits(w2d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x @ w2d[:-1] + w2d[-1]
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _logits(weights: np.ndarray, x: np.ndarray, classes: int) -> np.ndarray:
+    """x @ W + b for flat weights (..., (f+1)*c) and features (..., n, f)."""
+    w = weights.reshape(weights.shape[:-1] + (x.shape[-1] + 1, classes))
+    return x @ w[..., :-1, :] + w[..., -1:, :]
 
 
 def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
-    """Mean softmax cross-entropy and its gradient w.r.t. the flat weights."""
-    n, f = x.shape
-    w2d = _unpack(weights, f, classes)
-    probs = _softmax(_logits(w2d, x))
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad = np.vstack([x.T @ delta, delta.sum(axis=0)])
-    return loss, grad.ravel()
+    """Mean softmax cross-entropy and its gradient w.r.t. the flat weights.
+
+    `x` is (..., n, f) and `y` (..., n); leading axes index clients, each with
+    its own weight row in `weights` (..., p) or sharing one flat vector. The
+    loss has the leading shape and the gradient one row per client.
+    """
+    n, f = x.shape[-2:]
+    z = _logits(weights, x, classes)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    loss = -np.mean(np.log(np.take_along_axis(probs, y[..., None], axis=-1)[..., 0] + 1e-300), axis=-1)
+    delta = (probs - (y[..., None] == np.arange(classes))) / n
+    grad = np.concatenate([np.swapaxes(x, -1, -2) @ delta, delta.sum(axis=-2, keepdims=True)], axis=-2)
+    return loss, grad.reshape(grad.shape[:-2] + ((f + 1) * classes,))
 
 
 def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int, epochs: int, lr: float) -> np.ndarray:
-    """Full-batch gradient descent from the global weights; returns new weights."""
-    w = np.array(weights, dtype=float)
+    """Full-batch gradient descent from the global weights; returns new weights.
+
+    With leading client axes on `x` (..., n, f) and `y` (..., n), every client
+    trains from the same `weights` and the result has one weight row per client.
+    """
+    # a C-ordered copy per client: the memory layout picks numpy's matmul path,
+    # and this one gives each client the bits of a lone 2-D call
+    w = np.broadcast_to(np.asarray(weights, dtype=float), x.shape[:-2] + np.shape(weights)).copy()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
         for _ in range(epochs):
             loss, grad = loss_and_grad(w, x, y, classes)
-            if not np.isfinite(loss):
-                raise ValueError(f"training loss diverged (loss={loss}); reduce the learning rate")
+            if not np.all(np.isfinite(loss)):
+                raise ValueError(f"training loss diverged (loss={np.max(loss)}); reduce the learning rate")
             w -= lr * grad
             if not np.all(np.isfinite(w)):
                 raise ValueError("training weights diverged; reduce the learning rate")
@@ -174,8 +176,7 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
     """(accuracy, macro F1) of argmax-softmax predictions."""
     if len(x) == 0:
         raise ValueError("empty test set")
-    w2d = _unpack(np.asarray(weights, dtype=float), x.shape[1], classes)
-    pred = np.argmax(_logits(w2d, x), axis=1)
+    pred = np.argmax(_logits(np.asarray(weights, dtype=float), x, classes), axis=1)
     acc = float(np.mean(pred == y))
     f1s = []
     for c in range(classes):
@@ -237,14 +238,17 @@ def run_round(
     sv = qselect.select_clients(partition.n_clients, m, entropy, round_index)
     selected = sv.selected
 
-    updates = np.stack(
-        [
-            local_train(weights, partition.client_features[i], partition.client_labels[i],
-                        partition.classes, cfg.local_epochs, cfg.lr)
-            for i in selected
-        ]
-    )
     sizes = np.array([len(partition.client_labels[i]) for i in selected])
+    # one training pass per client size (one per round on equal-size partitions)
+    updates = np.empty((len(selected), p))
+    for n in np.unique(sizes):
+        rows = np.flatnonzero(sizes == n)
+        updates[rows] = local_train(
+            weights,
+            np.stack([partition.client_features[selected[r]] for r in rows]),
+            np.stack([partition.client_labels[selected[r]] for r in rows]),
+            partition.classes, cfg.local_epochs, cfg.lr,
+        )
     classical_mean = fedavg_aggregate(updates, sizes)
 
     epsilon, mean_angle, clip_count = 0.0, 0.0, 0

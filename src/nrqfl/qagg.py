@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, group_sizes
+from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, group_sizes
 from .encode import HALF_PI, angle_to_z, denormalize_array, normalize_array, z_to_angle
 from .qcore import (
     DensityMatrix,
@@ -168,9 +168,6 @@ def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
     if lam_d < INVERSION_FLOOR:
         raise ValueError(f"attenuation {lam_d:.3g} below {INVERSION_FLOOR}; depth/noise out of mitigable range")
     return np.clip(raw_z / lam_d, -1.0, 1.0)
-
-
-DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)
 
 
 def calibrate(

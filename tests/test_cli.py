@@ -1,12 +1,31 @@
 import csv
+import itertools
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nrqfl import cli, qagg
 from nrqfl.cli import CSV_HEADER, main
-from nrqfl.config import ConfigError, ExperimentConfig, config_from_dict, parse_config
+from nrqfl.config import (
+    MITIGATION_FLAGS,
+    ConfigError,
+    ExperimentConfig,
+    calibration_slope,
+    config_from_dict,
+    group_depths,
+    group_sizes,
+    parse_config,
+)
 from nrqfl.qcore import NoiseModel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAST = {"n_clients": 4, "samples_per_client": 80, "test_samples": 200, "rounds": 3, "shots": 512}
 
@@ -70,6 +89,98 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="noise.p_depol"):
             ExperimentConfig(noise=NoiseModel(p_depol=True))
 
+    def test_non_positive_calibration_slope_only_rejected_where_calibrated(self):
+        noise = {"readout_flip": 0.6}  # a flip above 1/2 turns the fitted slope negative
+        assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.readout_flip == 0.6
+        assert config_from_dict({"noise": noise, "mitigation": ["channel_inversion"]}).noise.readout_flip == 0.6
+        with pytest.raises(ConfigError, match="noise.readout_flip"):
+            config_from_dict({"noise": noise})
+        # full dephasing leaves <Z> flat in the ideal value at even depth only
+        assert config_from_dict({"noise": {"p_deph": 1.0}, "n_clients": 5}).n_clients == 5
+        with pytest.raises(ConfigError, match="noise.p_deph"):
+            config_from_dict({"noise": {"p_deph": 1.0}, "n_clients": 13, "selection_m": 11})  # depths 6 and 5
+
+    def test_calibration_check_agrees_with_calibrate(self):
+        # includes slopes that are 0 up to rounding: flip 1/2, full dephasing at even depth, full damping
+        grid = itertools.product((0.0, 0.05), (0.0, 0.5, 1.0), (0.0, 0.03, 1.0), (0.0, 0.5, 0.6, 1.0), (1, 2, 5, 6, 9))
+        outcomes = set()
+        for p_depol, p_deph, gamma, flip, depth in grid:
+            noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma, readout_flip=flip)
+            slope = calibration_slope(noise, depth)
+            outcomes.add(slope > 0.0)
+            if slope > 0.0:
+                assert qagg.calibrate(noise, depth).lam_hat == slope
+            else:
+                with pytest.raises(ValueError, match="fitted attenuation must be positive"):
+                    qagg.calibrate(noise, depth)
+        assert outcomes == {True, False}
+
+    def test_out_dir_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="out_dir"):
+            config_from_dict({"out_dir": 5})
+
+    def test_group_depths_are_the_distinct_group_sizes(self):
+        for n in range(1, 200):
+            assert group_depths(n) == sorted(set(group_sizes(n)), reverse=True)
+        # the parse-time depth checks never build one entry per group
+        assert config_from_dict({"n_clients": 13_661_861_997}).n_clients == 13_661_861_997
+
+
+_DEFAULTS = ExperimentConfig()
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_NOISE_KEYS = ("p_depol", "p_deph", "gamma", "readout_flip")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NAMES = st.sampled_from(("fedavg", "qfl", "nrqfl", *sorted(MITIGATION_FLAGS), "bogus"))
+
+
+def _typed_value(key):
+    """A value of the key's own type, mostly in range, so that the deeper checks are reached."""
+    default = getattr(_DEFAULTS, key, None)
+    if key == "noise":
+        return st.dictionaries(st.sampled_from(_NOISE_KEYS + ("typo",)), st.floats(0, 1) | _JSON, max_size=4)
+    if key in ("strategies", "mitigation"):
+        return st.lists(_NAMES | _JSON, max_size=4)
+    if key == "selection_m":
+        return st.none() | st.integers(0, 20)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-1, 20)
+    if isinstance(default, float):
+        return st.floats(0, 2) | st.integers(0, 3)
+    return st.text(max_size=4)
+
+
+def _config_value(key):
+    """One value in four is arbitrary JSON, the rest are typed."""
+    return st.integers(0, 3).flatmap(lambda i: _JSON if i == 0 else _typed_value(key))
+
+
+_CONFIG_OBJECTS = st.lists(st.sampled_from(_CONFIG_KEYS + ("typo",)), unique=True, max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _config_value(k) for k in keys}))
+
+
+@given(_CONFIG_OBJECTS)
+@settings(max_examples=150, deadline=None)
+def test_any_json_object_is_a_config_or_a_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, nrqfl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 @pytest.mark.parametrize(
     "extra, key",
@@ -90,10 +201,18 @@ class TestParseConfig:
         ({"fixed_weight_bound": "4"}, "fixed_weight_bound"),
         ({"n_clients": 5, "noise": {"p_depol": 0.8}}, "noise.p_depol"),
         ({"n_clients": 5, "noise": {"p_depol": 0.8}, "mitigation": ["channel_inversion"]}, "noise.p_depol"),
+        ({"noise": {"readout_flip": 0.6}, "rounds": 1, "strategies": ["nrqfl"]}, "noise.readout_flip"),
+        ({"noise": {"p_deph": 1.0}, "n_clients": 4, "rounds": 1, "strategies": ["nrqfl"]}, "noise.p_deph"),
+        ({"lr": 10**400}, "lr"),
+        ({"n_clients": 1}, "n_clients"),
+        ({"classes": 1}, "classes"),
+        ({"feature_dim": 1}, "feature_dim"),
+        ({"feature_dim": 9}, "feature_dim"),
     ],
     ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
-         "depol-calibration", "depol-inversion"],
+         "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "lr-huge-int",
+         "one-client", "one-class", "features-1", "features-9"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
     out = tmp_path / "never"
@@ -172,6 +291,16 @@ class TestCmdSweep:
             rows = list(csv.DictReader(fh))
         variances = [float(r["empirical_variance"]) for r in rows]
         assert variances == sorted(variances)
+
+    def test_depth_sweep_uses_deepest_group(self, tmp_path, monkeypatch):
+        # more than 9 clients are split into near-even groups: 10 -> 5+5, ..., 16 -> 8+8
+        depths = []
+        monkeypatch.setattr(cli, "_sweep_variance", lambda cfg, strategy, depth: depths.append(depth) or 0.0)
+        cfg_path = write_cfg(tmp_path, {"strategies": ["fedavg"], "rounds": 1, "samples_per_client": 5})
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--axis", "depth", "--values", "4,9,10,11,12,13,14,15,16"])
+        assert code == 0
+        assert depths == [4, 9, 5, 6, 6, 7, 7, 8, 8]
 
 
 class TestCmdValidate:

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrqfl import flsim, qagg
+from nrqfl import flsim, qagg, qselect
 from nrqfl.config import ExperimentConfig
 from nrqfl.encode import bounds_from_values, encode, normalize
 from nrqfl.qcore import NoiseModel, compose_channels, identity_channel
@@ -13,6 +15,37 @@ FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
 
 def fast_cfg(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
+
+
+def reference_local_train(weights, x, y, classes, epochs, lr):
+    """One client's full-batch gradient descent, written per client (the oracle for the batched pass)."""
+    n, f = x.shape
+    w = np.array(weights, dtype=float)
+    for _ in range(epochs):
+        w2d = w.reshape(f + 1, classes)
+        z = x @ w2d[:-1] + w2d[-1]
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        delta = e / e.sum(axis=1, keepdims=True)
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+        w -= lr * np.vstack([x.T @ delta, delta.sum(axis=0)]).ravel()
+    return w
+
+
+def reference_train_loop(weights, xs, ys, classes, epochs, lr):
+    """The per-client loop: one 2-D training call per client, stacked."""
+    return np.stack([reference_local_train(weights, x, y, classes, epochs, lr) for x, y in zip(xs, ys)])
+
+
+def unequal_partition(sizes=(300, 120, 300, 7, 120, 1), seed=4):
+    """A directly built partition whose clients hold different sample counts."""
+    full = flsim.make_partition(len(sizes), 3, max(sizes), 0.5, seed=seed, test_samples=200)
+    return flsim.DataPartition(
+        [x[:k] for x, k in zip(full.client_features, sizes)],
+        [y[:k] for y, k in zip(full.client_labels, sizes)],
+        full.test_features, full.test_labels, full.classes, full.skew,
+    )
 
 
 class TestMakePartition:
@@ -86,6 +119,35 @@ class TestLocalTrain:
         x, y = self.part.client_features[0], self.part.client_labels[0]
         with pytest.raises(ValueError, match="diverged"):
             flsim.local_train(np.zeros(self.p), x * 1e200, y, 3, 5, 1e200)
+
+    def test_divergence_surfaces_in_a_batch(self):
+        # one diverging client among well-behaved ones still fails the whole pass
+        xs = np.stack(self.part.client_features)
+        xs[1] *= 1e200
+        with pytest.raises(ValueError, match="diverged"):
+            flsim.local_train(np.zeros(self.p), xs, np.stack(self.part.client_labels), 3, 5, 1e200)
+
+    @pytest.mark.parametrize("f, c", [(2, 2), (4, 3), (8, 6)])
+    def test_batch_equals_per_client_loop(self, f, c):
+        for n, m, epochs in itertools.product((1, 2, 7, 200), (1, 3, 5), (1, 5)):
+            rng = np.random.default_rng([f, c, n, m, epochs])
+            xs = 2.0 * rng.normal(size=(m, n, f))
+            ys = rng.integers(0, c, size=(m, n))
+            w0 = 0.3 * rng.normal(size=(f + 1) * c)
+            expected = reference_train_loop(w0, xs, ys, c, epochs, 0.1)
+            assert np.array_equal(flsim.local_train(w0, xs, ys, c, epochs, 0.1), expected), (n, m, epochs)
+            assert np.array_equal(flsim.local_train(w0, xs[0], ys[0], c, epochs, 0.1), expected[0])
+
+    def test_batched_loss_and_grad_rows(self):
+        xs = np.stack(self.part.client_features)
+        ys = np.stack(self.part.client_labels)
+        w = np.linspace(-1, 1, 3 * self.p).reshape(3, self.p)
+        loss, grad = flsim.loss_and_grad(w, xs, ys, 3)
+        assert loss.shape == (3,) and grad.shape == (3, self.p)
+        for i in range(3):
+            loss_i, grad_i = flsim.loss_and_grad(w[i], xs[i], ys[i], 3)
+            assert loss[i] == loss_i
+            assert np.array_equal(grad[i], grad_i)
 
 
 class TestFedAvg:
@@ -183,3 +245,34 @@ class TestRunExperiment:
     def test_selection_subset_size(self):
         recs = flsim.run_experiment(fast_cfg(rounds=3, selection_m=3), "fedavg")
         assert all(len(r.selected) == 3 for r in recs)
+
+
+class TestRunRoundBatching:
+    @pytest.mark.parametrize("strategy", flsim.STRATEGIES)
+    @pytest.mark.parametrize("selection_m", [None, 4])
+    def test_unequal_sizes_match_per_client_oracle(self, monkeypatch, strategy, selection_m):
+        part = unequal_partition()
+        cfg = ExperimentConfig(n_clients=6, selection_m=selection_m, rounds=1, shots=512, seed=2)
+        weights = np.random.default_rng(1).normal(scale=0.2, size=(cfg.feature_dim + 1) * cfg.classes)
+
+        def entropy():
+            return qselect.EntropySource(cfg.noise, seed=[cfg.seed, 3])
+
+        calls, seen = [], []
+        batched = flsim.local_train
+        monkeypatch.setattr(flsim, "local_train", lambda w, x, *a: (calls.append(len(x)), batched(w, x, *a))[1])
+        spy = flsim.fedavg_aggregate
+        monkeypatch.setattr(flsim, "fedavg_aggregate", lambda v, s: (seen.append(v), spy(v, s))[1])
+        new_w, record = flsim.run_round(strategy, 1, weights, part, cfg, entropy())
+
+        sizes = part.sizes[list(record.selected)]
+        assert len(calls) == len(set(sizes)) and sum(calls) == len(record.selected)
+        expected = reference_train_loop(
+            weights, [part.client_features[i] for i in record.selected],
+            [part.client_labels[i] for i in record.selected], part.classes, cfg.local_epochs, cfg.lr)
+        assert np.array_equal(seen[0], expected)
+
+        monkeypatch.setattr(flsim, "local_train", reference_train_loop)
+        oracle_w, oracle_record = flsim.run_round(strategy, 1, weights, part, cfg, entropy())
+        assert np.array_equal(new_w, oracle_w)
+        assert record == oracle_record
