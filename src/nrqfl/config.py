@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .qcore import NoiseModel, circuit_state, readout_p1
+from .encode import angle_to_z
+from .qcore import NoiseModel, circuit_p1
 from .qselect import EntropySource
 
 
@@ -24,6 +25,7 @@ MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "cal
 MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
+MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
 DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
@@ -48,16 +50,28 @@ def group_depths(n: int) -> list:
     return [base + 1, base] if extra else [base]
 
 
-def calibration_slope(noise: NoiseModel, depth: int) -> float:
-    """Slope lam_hat of qagg.calibrate's default exact fit at this depth.
+def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> tuple:
+    """Least-squares fit (lam_hat, b_hat) of noisy <Z> = lam_hat * ideal <Z> + b_hat at one circuit depth.
 
-    The same qcore calls and float operations as the fit itself, so a config
-    is rejected exactly when its calibration would fail.
+    Each probe angle a runs the aggregation circuit of `depth` clients all at
+    a, whose ideal <Z> is cos(2a); all probes run in one `circuit_p1` batch.
+    The fit absorbs depolarizing attenuation, amplitude-damping offset and
+    readout bias in one linear map. A slope below INVERSION_FLOOR cannot be
+    inverted, so it raises. `qagg.calibrate` and the parse-time check both
+    call this, so a config is rejected exactly when its calibration would fail.
     """
-    ideal = [math.cos(2.0 * a) for a in DEFAULT_PROBES]
-    noisy = [1.0 - 2.0 * readout_p1(circuit_state([2.0 * a / depth] * depth, noise), noise.readout_flip)
-             for a in DEFAULT_PROBES]
-    return float(np.polyfit(ideal, noisy, 1)[0])
+    if not 1 <= depth <= MAX_GROUP:
+        raise ValueError(f"calibration depth must be in 1..{MAX_GROUP}, got {depth}")
+    probes = [float(a) for a in probe_angles]
+    if len(set(probes)) < 2:
+        raise ValueError("need at least two distinct probe angles")
+    ideal = [angle_to_z(a) for a in probes]
+    gates = np.repeat(2.0 * np.array(probes)[:, None] / depth, depth, axis=1)
+    lam_hat, b_hat = (float(v) for v in np.polyfit(ideal, 1.0 - 2.0 * circuit_p1(gates, noise), 1))
+    if lam_hat < INVERSION_FLOOR:
+        raise ValueError(f"calibration fits a slope of {lam_hat:.3g} < {INVERSION_FLOOR} to depth-{depth} "
+                         "circuits and cannot invert it")
+    return lam_hat, b_hat
 
 
 def _is_real(v) -> bool:
@@ -109,6 +123,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < lo:
                 raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if self.shots > MAX_SHOTS:
+            raise ConfigError(f"shots must be an integer in 1..{MAX_SHOTS}, got {self.shots!r}")
         if self.feature_dim > 8:
             raise ConfigError(f"feature_dim must be an integer in 2..8, got {self.feature_dim!r}")
         if not _is_real(self.skew) or not 0.0 <= self.skew <= 1.0:
@@ -145,12 +161,13 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"noise.p_depol = {self.noise.p_depol} attenuates depth-{d} nrqfl circuits by "
                         f"(1 - 4p/3)^{d} = {attenuation:.3g} < {INVERSION_FLOOR}; mitigation cannot undo that")
-                if "calibration" in self.mitigation and (slope := calibration_slope(self.noise, d)) <= 0.0:
-                    named = ", ".join(f"noise.{k} = {getattr(self.noise, k)}" for k in _NOISE_KEYS
-                                      if getattr(self.noise, k))
-                    raise ConfigError(
-                        f"under {named}, nrqfl calibration fits a slope of {slope:.3g} <= 0 to depth-{d} "
-                        "circuits and cannot invert it")
+                if "calibration" in self.mitigation:
+                    try:
+                        fit_calibration(self.noise, d)
+                    except ValueError as exc:
+                        named = ", ".join(f"noise.{k} = {getattr(self.noise, k)}" for k in _NOISE_KEYS
+                                          if getattr(self.noise, k))
+                        raise ConfigError(f"under {named}, nrqfl {exc}") from exc
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         import dataclasses

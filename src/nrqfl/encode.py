@@ -59,14 +59,12 @@ def encode(angle: float) -> DensityMatrix:
     """Pure state Ry(2a)|0>, i.e. cos(a)|0> + sin(a)|1>."""
     _check_angle(angle)
     zero = make_pure_state([1.0, 0.0])
-    return apply_unitary(zero, ry(2.0 * angle), 0)
+    return apply_unitary(zero, ry(2.0 * angle))
 
 
 def decode_exact(state: DensityMatrix) -> float:
-    """arcsin(sqrt(P(1))) of a single-qubit state; inverse of `encode` on clean states."""
-    if state.n_qubits != 1:
-        raise ValueError("decode expects a single-qubit state")
-    p1 = prob_one(state, 0)
+    """arcsin(sqrt(P(1))) of a state; inverse of `encode` on clean states."""
+    p1 = prob_one(state)
     return math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
 
 

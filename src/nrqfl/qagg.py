@@ -5,13 +5,16 @@ about a common axis these add, so the noiseless circuit prepares exactly the
 state encoding mean(a). One noise-channel pass per gate defines the circuit
 depth d used by the variance bound. More than 9 clients are split into groups
 of <= 9 (depth stays below 10) whose results are combined by a size-weighted
-classical mean. `aggregate` evolves the circuits of all parameters of a group
-together (`qcore.circuit_bloch`); `build_plan` / `run_plan` run one circuit.
+classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
+`aggregate` takes the circuits of all parameters of a group in one call, and
+`build_plan` / `run_plan` run one circuit. `simulate_plan` is the one place a
+circuit's state matrix is built, for sampled `run_plan` and for tests.
 
 Mitigation layers, selected by flags in AggregationConfig:
   - measurement_averaging: average <Z> over `repeats` independent executions
   - channel_inversion:     divide <Z> by (1 - 4p/3)^d (depolarizing, analytic)
-  - calibration:           fitted linear transfer noisy_z = lam * ideal_z + b;
+  - calibration:           linear transfer noisy_z = lam * ideal_z + b, fitted
+                           by `config.fit_calibration` once per (noise, depth);
                            subsumes channel inversion when both flags are set
 """
 
@@ -23,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, group_sizes
-from .encode import HALF_PI, angle_to_z, denormalize_array, normalize_array, z_to_angle
+from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, fit_calibration, group_sizes
+from .encode import HALF_PI, denormalize_array, normalize_array, z_to_angle
 from .qcore import (
     DensityMatrix,
     KrausChannel,
@@ -32,10 +35,8 @@ from .qcore import (
     Observable,
     apply_channel,
     circuit_bloch,
-    circuit_state,
+    circuit_p1,
     expectation,
-    flipped_p1,
-    readout_p1,
     sample_measurement,
     trace_distance,
 )
@@ -131,7 +132,8 @@ def build_plan(angles, n_clients: int | None = None) -> CircuitPlan:
 
 def simulate_plan(plan: CircuitPlan, noise: NoiseModel) -> DensityMatrix:
     """Deterministic pre-measurement state: alternate gates and noise passes."""
-    return circuit_state(plan.gates, noise)
+    x, z = (float(v) for v in circuit_bloch(plan.gates, noise))
+    return DensityMatrix(np.array([[(1.0 + z) / 2.0, x / 2.0], [x / 2.0, (1.0 - z) / 2.0]], dtype=complex))
 
 
 def run_plan(
@@ -145,14 +147,13 @@ def run_plan(
 
     With exact=True the infinite-shot expectation is used instead of sampling.
     """
-    state = simulate_plan(plan, noise)
     if exact:
-        p1 = readout_p1(state, noise.readout_flip)
+        p1 = float(circuit_p1(plan.gates, noise))
         var = 0.0
     else:
         if rng is None:
             raise ValueError("sampled execution needs an RNG stream")
-        zeros, ones = sample_measurement(state, 0, shots, rng, noise.readout_flip)
+        zeros, ones = sample_measurement(simulate_plan(plan, noise), 0, shots, rng, noise.readout_flip)
         p1 = ones / shots
         # delta-method shot variance of arcsin(sqrt(p)) is ~1/(4S), p-independent
         var = 1.0 / (4.0 * shots)
@@ -170,31 +171,9 @@ def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
     return np.clip(raw_z / lam_d, -1.0, 1.0)
 
 
-def calibrate(
-    noise: NoiseModel,
-    depth: int,
-    probe_angles=DEFAULT_PROBES,
-    shots: int = 4096,
-    rng: np.random.Generator | None = None,
-    exact: bool = True,
-) -> TransferFunction:
-    """Least-squares fit of noisy <Z> against ideal <Z> from known probe angles.
-
-    Each probe runs an aggregation plan with all clients at the same angle, so
-    the ideal expectation is cos(2a). The fit absorbs depolarizing attenuation,
-    amplitude-damping offset, and readout bias in one linear map.
-    """
-    probes = tuple(float(a) for a in probe_angles)
-    if len(set(probes)) < 2:
-        raise ValueError("need at least two distinct probe angles")
-    ideal, noisy = [], []
-    for a in probes:
-        plan = build_plan([a] * depth)
-        est = run_plan(plan, noise, shots, rng, exact=exact)
-        ideal.append(angle_to_z(a))
-        noisy.append(est.z_raw)
-    lam_hat, b_hat = np.polyfit(ideal, noisy, 1)
-    return TransferFunction(float(lam_hat), float(b_hat))
+def calibrate(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> TransferFunction:
+    """The transfer function `config.fit_calibration` fits to depth-`depth` circuits."""
+    return TransferFunction(*fit_calibration(noise, depth, probe_angles))
 
 
 @lru_cache(maxsize=64)
@@ -226,8 +205,8 @@ def aggregate(
 ) -> AggregateResult:
     """Quantum-aggregate N client parameter vectors into their (uniform) mean.
 
-    normalize -> per client group, the circuits of all P parameters in one
-    `circuit_bloch` call -> sample (with repeats) -> mitigate -> decode ->
+    normalize -> per client group, P(1) of the circuits of all P parameters in
+    one `circuit_p1` call -> sample (with repeats) -> mitigate -> decode ->
     size-weighted mean over groups -> denormalize. Groups of more than 9
     clients are combined by that classical mean. Each (parameter, group,
     repeat) draws its shots from its own RNG stream keyed by
@@ -252,9 +231,8 @@ def aggregate(
     group_angles = np.empty((len(sizes), p))
     start = 0
     for g, d in enumerate(sizes):
-        _, z = circuit_bloch((2.0 * angles[start:start + d] / d).T, noise)
+        p1 = circuit_p1((2.0 * angles[start:start + d] / d).T, noise)
         start += d
-        p1 = flipped_p1(np.clip((1.0 - z) / 2.0, 0.0, 1.0), noise.readout_flip)
         if cfg.exact_expectation:
             z = 1.0 - 2.0 * p1
         else:
@@ -301,7 +279,7 @@ def _sample_ones(plan: CircuitPlan, noise: NoiseModel, shots: int, trials: int, 
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    p_eff = readout_p1(simulate_plan(plan, noise), noise.readout_flip)
+    p_eff = float(circuit_p1(plan.gates, noise))
     return rng.binomial(shots, p_eff, size=trials)
 
 
@@ -364,10 +342,10 @@ def fit_sigma_gate(
 def commutation_check(channel: KrausChannel, m: Observable, state: DensityMatrix):
     """Theorem-3 style test: Tr(M rho) vs Tr(M E(rho))."""
     lhs = expectation(state, m)
-    rhs = expectation(apply_channel(state, channel, 0), m)
+    rhs = expectation(apply_channel(state, channel), m)
     return lhs, rhs, abs(lhs - rhs) < 1e-10
 
 
 def noise_deviation(state: DensityMatrix, channel: KrausChannel) -> float:
     """Trace distance D(rho, E(rho)): the empirical per-round noise epsilon."""
-    return trace_distance(state, apply_channel(state, channel, 0))
+    return trace_distance(state, apply_channel(state, channel))

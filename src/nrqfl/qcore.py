@@ -1,20 +1,16 @@
-"""Dense density-matrix simulator for small qubit registers.
+"""One-qubit simulator: the qubit each model parameter is encoded on.
 
-States are 2^n x 2^n complex matrices (n <= 6, so at most 64x64). Noise is
-modeled with Kraus channels; everything is validated against the standard
-invariants (Hermitian, unit trace, PSD, channel completeness). All operations
-are pure functions of their inputs; the only stateful object is the caller's
-RNG stream.
+States are 2x2 complex density matrices and noise is modeled with 2x2 Kraus
+channels; everything is validated against the standard invariants (Hermitian,
+unit trace, PSD, channel completeness). All operations are pure functions of
+their inputs; the only stateful object is the caller's RNG stream.
 
-`circuit_bloch` is the one engine for the noisy one-qubit circuits (Ry gates,
-a noise pass after each): on one qubit every gate and channel is a closed-form
-map of the Bloch vector, so a whole batch of circuits evolves as numpy arrays
-and only the final states are validated. `circuit_state` + `readout_p1` give a
-single circuit's state and readout; the step-validated `apply_unitary` /
-`apply_channel` chain is their oracle.
-
-Qubit index 0 is the leftmost tensor factor (most significant bit of the
-computational-basis index).
+`circuit_bloch` is the one engine for the noisy circuits (Ry gates, a noise
+pass after each): on one qubit every gate and channel is a closed-form map of
+the Bloch vector, so a whole batch of circuits evolves as numpy arrays and only
+the final states are validated. `circuit_p1` is every circuit's P(read 1). The
+step-validated `apply_unitary` / `apply_channel` chain is the oracle the engine
+is tested against, and it carries the per-round noise deviation (`qagg`).
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 6
-
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -34,8 +28,8 @@ PSD_TOL = 1e-9  # slack for roundoff accumulated across repeated channel applica
 
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -43,18 +37,12 @@ def _as_matrix(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """State of an n-qubit register: Hermitian, PSD, unit-trace matrix."""
+    """State of one qubit: Hermitian, PSD, unit-trace 2x2 matrix."""
 
-    n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         m = _as_matrix(self.matrix)
-        dim = 2 ** self.n_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"state matrix must be {dim}x{dim}, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("state is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -63,14 +51,10 @@ class DensityMatrix:
             raise ValueError("state is not positive semidefinite")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators {E_k} with sum_k E_k^dag E_k = I."""
+    """One-qubit CPTP map given by 2x2 Kraus operators {E_k} with sum_k E_k^dag E_k = I."""
 
     operators: tuple
     label: str = "channel"
@@ -79,23 +63,15 @@ class KrausChannel:
         ops = tuple(_as_matrix(e) for e in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for e in ops:
-            if e.shape != (d, d):
-                raise ValueError("all Kraus operators must be square and same-sized")
         total = sum(e.conj().T @ e for e in ops)
-        if np.linalg.norm(total - np.eye(d)) > COMPLETENESS_TOL:
+        if np.linalg.norm(total - np.eye(2)) > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated for '{self.label}'")
         object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian measurement operator."""
+    """Hermitian 2x2 measurement operator."""
 
     matrix: np.ndarray
 
@@ -152,15 +128,14 @@ Z_OBSERVABLE = Observable(PAULI_Z)
 
 
 def make_pure_state(amplitudes) -> DensityMatrix:
-    """Build |psi><psi| from a unit-norm amplitude vector (length 2..64, power of two)."""
+    """Build |psi><psi| from a unit-norm pair of amplitudes (of |0> and |1>)."""
     v = np.asarray(amplitudes, dtype=complex)
-    if v.ndim != 1 or v.size < 2 or v.size > 64 or (v.size & (v.size - 1)) != 0:
-        raise ValueError(f"amplitude vector length must be a power of two in [2, 64], got {v.size}")
+    if v.shape != (2,):
+        raise ValueError(f"expected 2 amplitudes, got shape {v.shape}")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"amplitudes must be unit norm, got ||v|| = {norm}")
-    n = int(round(math.log2(v.size)))
-    return DensityMatrix(n, np.outer(v, v.conj()))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def ry(theta: float) -> np.ndarray:
@@ -210,43 +185,24 @@ def identity_channel() -> KrausChannel:
 
 def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     """Channel applying `first` then `second`: Kraus set {B_j A_i}."""
-    if first.dim != second.dim:
-        raise ValueError("channel dimensions do not match")
     ops = tuple(b @ a for a in first.operators for b in second.operators)
     return KrausChannel(ops, label=f"{second.label}∘{first.label}")
 
 
-def _lift(op: np.ndarray, n_qubits: int, target_qubit: int) -> np.ndarray:
-    """Embed a single-qubit operator at `target_qubit` of an n-qubit register."""
-    if not 0 <= target_qubit < n_qubits:
-        raise ValueError(f"qubit index {target_qubit} out of range for {n_qubits} qubits")
-    if n_qubits == 1:
-        return op
-    left = np.eye(2 ** target_qubit, dtype=complex)
-    right = np.eye(2 ** (n_qubits - target_qubit - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
-def apply_unitary(state: DensityMatrix, u, target_qubit: int) -> DensityMatrix:
-    """Conjugate the target qubit by a 2x2 unitary: rho -> U rho U^dag."""
+def apply_unitary(state: DensityMatrix, u) -> DensityMatrix:
+    """Conjugate by a 2x2 unitary: rho -> U rho U^dag."""
     u = _as_matrix(u)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
     if np.linalg.norm(u.conj().T @ u - np.eye(2)) > 1e-10:
         raise ValueError("matrix is not unitary")
-    big = _lift(u, state.n_qubits, target_qubit)
-    return DensityMatrix(state.n_qubits, big @ state.matrix @ big.conj().T)
+    return DensityMatrix(u @ state.matrix @ u.conj().T)
 
 
-def apply_channel(state: DensityMatrix, channel: KrausChannel, target_qubit: int) -> DensityMatrix:
-    """Kraus sum E(rho) = sum_k E_k rho E_k^dag on the target qubit."""
-    if channel.dim != 2:
-        raise ValueError("only single-qubit channels are supported")
+def apply_channel(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    """Kraus sum E(rho) = sum_k E_k rho E_k^dag."""
     out = np.zeros_like(state.matrix)
     for e in channel.operators:
-        big = _lift(e, state.n_qubits, target_qubit)
-        out += big @ state.matrix @ big.conj().T
-    return DensityMatrix(state.n_qubits, out)
+        out += e @ state.matrix @ e.conj().T
+    return DensityMatrix(out)
 
 
 def circuit_bloch(gates, noise: NoiseModel) -> tuple:
@@ -276,16 +232,14 @@ def circuit_bloch(gates, noise: NoiseModel) -> tuple:
     return x, z
 
 
-def circuit_state(gates, noise: NoiseModel) -> DensityMatrix:
-    """The validated state of one circuit of `circuit_bloch`."""
-    x, z = (float(v) for v in circuit_bloch(gates, noise))
-    return DensityMatrix(1, np.array([[(1.0 + z) / 2.0, x / 2.0], [x / 2.0, (1.0 - z) / 2.0]], dtype=complex))
+def circuit_p1(gates, noise: NoiseModel):
+    """P(read 1) of each circuit of `circuit_bloch` (same leading axes), readout flips included."""
+    _, z = circuit_bloch(gates, noise)
+    return flipped_p1(np.clip((1.0 - z) / 2.0, 0.0, 1.0), noise.readout_flip)
 
 
 def expectation(state: DensityMatrix, m: Observable) -> float:
     """Tr(M rho), guaranteed real up to a 1e-10 imaginary residue."""
-    if m.matrix.shape != state.matrix.shape:
-        raise ValueError("observable/state dimension mismatch")
     val = np.trace(m.matrix @ state.matrix)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
@@ -294,28 +248,20 @@ def expectation(state: DensityMatrix, m: Observable) -> float:
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """D(rho, sigma) = (1/2) sum |eigenvalues of rho - sigma|."""
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValueError("state dimension mismatch")
     eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-def prob_one(state: DensityMatrix, target_qubit: int) -> float:
-    """Diagonal mass of the |1> subspace of the target qubit."""
-    if not 0 <= target_qubit < state.n_qubits:
-        raise ValueError(f"qubit index {target_qubit} out of range")
-    diag = np.real(np.diag(state.matrix))
-    idx = np.arange(state.dim)
-    bit = (idx >> (state.n_qubits - target_qubit - 1)) & 1
-    p1 = float(diag[bit == 1].sum())
-    return min(max(p1, 0.0), 1.0)
+def prob_one(state: DensityMatrix) -> float:
+    """Population of |1>."""
+    return min(max(float(state.matrix[1, 1].real), 0.0), 1.0)
 
 
-def readout_p1(state: DensityMatrix, readout_flip: float, target_qubit: int = 0) -> float:
-    """P(read 1) on the target qubit when each outcome flips with probability readout_flip."""
+def readout_p1(state: DensityMatrix, readout_flip: float) -> float:
+    """P(read 1) when each outcome flips with probability readout_flip."""
     if not (0.0 <= readout_flip <= 1.0):
         raise ValueError("readout_flip must be in [0, 1]")
-    return flipped_p1(prob_one(state, target_qubit), readout_flip)
+    return flipped_p1(prob_one(state), readout_flip)
 
 
 def flipped_p1(p1, readout_flip: float):
@@ -330,24 +276,26 @@ def sample_measurement(
     rng: np.random.Generator,
     readout_flip: float = 0.0,
 ) -> tuple:
-    """Measure the target qubit `shots` times; returns (zeros, ones).
+    """Measure the qubit `shots` times; returns (zeros, ones).
 
     Each Bernoulli outcome is flipped with probability readout_flip.
-    Deterministic for a fixed RNG state.
+    Deterministic for a fixed RNG state. `target_qubit` must be 0, the only
+    qubit.
     """
+    if target_qubit != 0:
+        raise ValueError(f"qubit index {target_qubit} out of range for one qubit")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    ones = int(rng.binomial(shots, readout_p1(state, readout_flip, target_qubit)))
+    ones = int(rng.binomial(shots, readout_p1(state, readout_flip)))
     return shots - ones, ones
 
 
-def random_density_matrix(n_qubits: int, rng: np.random.Generator, pure: bool = False) -> DensityMatrix:
+def random_density_matrix(rng: np.random.Generator, pure: bool = False) -> DensityMatrix:
     """Random state for property checks (Haar-ish pure or Wishart mixed)."""
-    dim = 2 ** n_qubits
     if pure:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        return DensityMatrix(n_qubits, np.outer(v, v.conj()))
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return DensityMatrix(np.outer(v, v.conj()))
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
-    return DensityMatrix(n_qubits, m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import NoiseModel, circuit_state, readout_p1
+from .qcore import NoiseModel, circuit_p1
 
 ENTROPY_CIRCUIT = (math.pi / 2,)
 
@@ -42,7 +42,7 @@ def quantum_random_bits(k: int, noise: NoiseModel, rng: np.random.Generator) -> 
     """
     if k < 1:
         raise ValueError("need k >= 1 bits")
-    p = readout_p1(circuit_state(ENTROPY_CIRCUIT, noise), noise.readout_flip)
+    p = float(circuit_p1(ENTROPY_CIRCUIT, noise))
     return (rng.random(k) < p).astype(np.uint8)
 
 
@@ -70,7 +70,7 @@ class EntropySource:
 
     @cached_property
     def p1(self) -> float:
-        return readout_p1(circuit_state(ENTROPY_CIRCUIT, self.noise), self.noise.readout_flip)
+        return float(circuit_p1(ENTROPY_CIRCUIT, self.noise))
 
     def _refill(self, need: int) -> None:
         while len(self._buffer) < need:

@@ -69,9 +69,9 @@ def check_trace_preservation() -> CheckResult:
     channels = [depolarizing_channel(0.05), dephasing_channel(0.1), amplitude_damping_channel(0.03)]
     worst = 0.0
     for seed in range(100):
-        rho = random_density_matrix(1, rng, pure=bool(seed % 2))
+        rho = random_density_matrix(rng, pure=bool(seed % 2))
         for ch in channels:
-            out = apply_channel(rho, ch, 0)
+            out = apply_channel(rho, ch)
             worst = max(worst, abs(float(np.trace(out.matrix).real) - 1.0))
     return CheckResult("trace_preservation", worst < 1e-10, f"worst |tr-1| {worst:.2e}")
 
@@ -81,9 +81,9 @@ def check_psd_preservation() -> CheckResult:
     channels = [depolarizing_channel(0.3), dephasing_channel(0.3), amplitude_damping_channel(0.3)]
     worst = 0.0
     for seed in range(200):
-        rho = random_density_matrix(1, rng, pure=bool(seed % 2))
+        rho = random_density_matrix(rng, pure=bool(seed % 2))
         for ch in channels:
-            out = apply_channel(rho, ch, 0)
+            out = apply_channel(rho, ch)
             worst = min(worst, float(np.linalg.eigvalsh(out.matrix).min()))
     return CheckResult("psd_preservation", worst >= -1e-9, f"min eigenvalue {worst:.2e}")
 
@@ -93,12 +93,12 @@ def check_depolarizing_contraction() -> CheckResult:
     worst = 0.0
     for _ in range(30):
         p = float(rng.uniform(0, 0.5))
-        rho = random_density_matrix(1, rng, pure=True)
+        rho = random_density_matrix(rng, pure=True)
         z0 = expectation(rho, Z_OBSERVABLE)
         ch = depolarizing_channel(p)
         state = rho
         for k in range(1, 5):
-            state = apply_channel(state, ch, 0)
+            state = apply_channel(state, ch)
             expected = (1 - 4 * p / 3) ** k * z0
             worst = max(worst, abs(expectation(state, Z_OBSERVABLE) - expected))
     return CheckResult("depolarizing_contraction", worst < 1e-10, f"worst deviation {worst:.2e}")
@@ -110,8 +110,8 @@ def check_dephasing_fixed_points() -> CheckResult:
     for _ in range(30):
         d = rng.uniform(0, 1)
         rho = make_pure_state([1.0, 0.0]).matrix * d + make_pure_state([0.0, 1.0]).matrix * (1 - d)
-        state = DensityMatrix(1, rho)
-        out = apply_channel(state, dephasing_channel(float(rng.uniform(0, 1))), 0)
+        state = DensityMatrix(rho)
+        out = apply_channel(state, dephasing_channel(float(rng.uniform(0, 1))))
         worst = max(worst, float(np.max(np.abs(out.matrix - state.matrix))))
     return CheckResult("dephasing_fixed_points", worst < 1e-12, f"worst drift {worst:.2e}")
 
@@ -123,7 +123,7 @@ def check_sampling_consistency() -> CheckResult:
         for _ in range(200):
             angle = rng.uniform(0.1, HALF_PI - 0.1)
             state = encode(angle)
-            p1 = prob_one(state, 0)
+            p1 = prob_one(state)
             _, ones = sample_measurement(state, 0, shots, rng)
             tol = 4 * math.sqrt(p1 * (1 - p1) / shots)
             total += 1
@@ -161,10 +161,10 @@ def check_theorem1_noise_bound() -> CheckResult:
     # independent oracle: trace distance via singular values
     rng = np.random.default_rng(17)
     for _ in range(50):
-        rho = random_density_matrix(1, rng, pure=bool(rng.integers(2)))
+        rho = random_density_matrix(rng, pure=bool(rng.integers(2)))
         ch = depolarizing_channel(float(rng.uniform(0, 0.5)))
         reported = qagg.noise_deviation(rho, ch)
-        diff = rho.matrix - apply_channel(rho, ch, 0).matrix
+        diff = rho.matrix - apply_channel(rho, ch).matrix
         oracle = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
         worst = max(worst, abs(reported - oracle))
     return CheckResult("theorem1_noise_bound", worst < 1e-9, f"worst deviation from oracle {worst:.2e}")
@@ -195,7 +195,7 @@ def check_theorem3_commutation() -> CheckResult:
     rng = np.random.default_rng(20)
     worst_hold, worst_viol = 0.0, 0.0
     for _ in range(100):
-        rho = random_density_matrix(1, rng, pure=bool(rng.integers(2)))
+        rho = random_density_matrix(rng, pure=bool(rng.integers(2)))
         p = float(rng.uniform(0.01, 0.99))
         lhs, rhs, holds = qagg.commutation_check(dephasing_channel(p), Z_OBSERVABLE, rho)
         worst_hold = max(worst_hold, abs(lhs - rhs))

@@ -49,9 +49,9 @@ def test_criterion_1_cptp_suite():
     worst_trace, min_eig = 0.0, 0.0
     rng = np.random.default_rng(0)
     for seed in range(1000):
-        rho = random_density_matrix(1, rng, pure=bool(seed % 2))
+        rho = random_density_matrix(rng, pure=bool(seed % 2))
         for ch in channels:
-            out = apply_channel(rho, ch, 0)
+            out = apply_channel(rho, ch)
             worst_trace = max(worst_trace, abs(float(np.trace(out.matrix).real) - 1.0))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(out.matrix).min()))
     elapsed = time.perf_counter() - t0
@@ -93,7 +93,7 @@ def test_criterion_4_theorem1_noise_bound():
     worst_round = 0.0
     for rec in flsim.run_experiment(cfg, "nrqfl"):
         state = encode(rec.mean_angle)
-        diff = state.matrix - apply_channel(state, channel, 0).matrix
+        diff = state.matrix - apply_channel(state, channel).matrix
         oracle = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
         worst_round = max(worst_round, abs(rec.epsilon - oracle))
     ok = worst_analytic < 1e-12 and worst_round < 1e-9
@@ -128,7 +128,7 @@ def test_criterion_6_theorem3_commutation():
     rng = np.random.default_rng(6)
     worst_hold, worst_law = 0.0, 0.0
     for _ in range(100):
-        rho = random_density_matrix(1, rng, pure=bool(rng.integers(2)))
+        rho = random_density_matrix(rng, pure=bool(rng.integers(2)))
         p = float(rng.uniform(0.01, 0.99))
         lhs, rhs, holds = qagg.commutation_check(dephasing_channel(p), Z_OBSERVABLE, rho)
         worst_hold = max(worst_hold, abs(lhs - rhs))
@@ -161,7 +161,7 @@ def test_criterion_7_mitigation_efficacy():
     state = qagg.simulate_plan(plan, noise)
     from nrqfl.qcore import prob_one
 
-    p1 = prob_one(state, 0)
+    p1 = prob_one(state)
     for seed in range(100):
         ones = np.random.default_rng(seed).binomial(10**5, p1)
         z = qagg.mitigate_channel_inversion(1 - 2 * ones / 10**5, noise, plan.depth)

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,20 +15,33 @@ from hypothesis import strategies as st
 from nrqfl import cli, qagg
 from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import (
+    DEFAULT_PROBES,
+    INVERSION_FLOOR,
     MITIGATION_FLAGS,
     ConfigError,
     ExperimentConfig,
-    calibration_slope,
     config_from_dict,
+    fit_calibration,
     group_depths,
     group_sizes,
     parse_config,
 )
+from nrqfl.encode import angle_to_z
 from nrqfl.qcore import NoiseModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
 FAST = {"n_clients": 4, "samples_per_client": 80, "test_samples": 200, "rounds": 3, "shots": 512}
+
+
+def reference_calibration(noise, depth):
+    """The calibration fit as one exact aggregation circuit per probe: the oracle of `fit_calibration`."""
+    ideal, noisy = [], []
+    for a in DEFAULT_PROBES:
+        ideal.append(angle_to_z(a))
+        noisy.append(qagg.run_plan(qagg.build_plan([a] * depth), noise, 1, None, exact=True).z_raw)
+    lam_hat, b_hat = np.polyfit(ideal, noisy, 1)
+    return float(lam_hat), float(b_hat)
 
 
 def write_cfg(tmp_path, extra=None):
@@ -73,7 +87,8 @@ class TestParseConfig:
 
     def test_degenerate_entropy_noise_allowed_without_selection(self):
         # full selection draws no entropy bits; with selection_m < n_clients it exits 2 (below)
-        assert config_from_dict({"noise": {"gamma": 1.0}}).noise.gamma == 1.0
+        noise = {"gamma": 1.0}  # nrqfl's calibration cannot invert full damping (below)
+        assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.gamma == 1.0
 
     def test_unmitigable_depolarizing_only_rejected_where_mitigated(self):
         noise = {"p_depol": 0.8}  # 1 - 4p/3 < 0: odd-depth circuits invert the sign of <Z>
@@ -106,13 +121,15 @@ class TestParseConfig:
         outcomes = set()
         for p_depol, p_deph, gamma, flip, depth in grid:
             noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma, readout_flip=flip)
-            slope = calibration_slope(noise, depth)
-            outcomes.add(slope > 0.0)
-            if slope > 0.0:
-                assert qagg.calibrate(noise, depth).lam_hat == slope
+            lam_hat, b_hat = reference_calibration(noise, depth)
+            outcomes.add(lam_hat >= INVERSION_FLOOR)
+            if lam_hat >= INVERSION_FLOOR:
+                assert fit_calibration(noise, depth) == (lam_hat, b_hat)
+                assert qagg.calibrate(noise, depth) == qagg.TransferFunction(lam_hat, b_hat)
             else:
-                with pytest.raises(ValueError, match="fitted attenuation must be positive"):
-                    qagg.calibrate(noise, depth)
+                for fit in (fit_calibration, qagg.calibrate):
+                    with pytest.raises(ValueError, match="cannot invert"):
+                        fit(noise, depth)
         assert outcomes == {True, False}
 
     def test_out_dir_must_be_a_string(self):
@@ -203,6 +220,8 @@ def test_cli_import_does_not_load_scipy():
         ({"n_clients": 5, "noise": {"p_depol": 0.8}, "mitigation": ["channel_inversion"]}, "noise.p_depol"),
         ({"noise": {"readout_flip": 0.6}, "rounds": 1, "strategies": ["nrqfl"]}, "noise.readout_flip"),
         ({"noise": {"p_deph": 1.0}, "n_clients": 4, "rounds": 1, "strategies": ["nrqfl"]}, "noise.p_deph"),
+        ({"noise": {"gamma": 1.0}}, "noise.gamma"),
+        ({"shots": 2**63}, "shots"),
         ({"lr": 10**400}, "lr"),
         ({"n_clients": 1}, "n_clients"),
         ({"classes": 1}, "classes"),
@@ -211,7 +230,7 @@ def test_cli_import_does_not_load_scipy():
     ],
     ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
-         "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "lr-huge-int",
+         "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):

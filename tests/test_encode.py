@@ -72,7 +72,7 @@ class TestEncodeDecode:
         assert decode_exact(make_pure_state([1, 0])) == 0.0
 
     def test_decode_mixed(self):
-        assert decode_exact(DensityMatrix(1, np.eye(2) / 2)) == pytest.approx(math.pi / 4)
+        assert decode_exact(DensityMatrix(np.eye(2) / 2)) == pytest.approx(math.pi / 4)
 
     def test_decode_quarter_population(self):
         assert decode_exact(encode(math.pi / 6)) == pytest.approx(math.pi / 6, abs=1e-12)
@@ -80,10 +80,6 @@ class TestEncodeDecode:
     def test_round_trip_grid(self):
         for a in np.linspace(0.0, HALF_PI, 1000):
             assert abs(decode_exact(encode(float(a))) - a) < 1e-12
-
-    def test_decode_rejects_register(self):
-        with pytest.raises(ValueError):
-            decode_exact(make_pure_state([1, 0, 0, 0]))
 
 
 class TestDecodeShots:

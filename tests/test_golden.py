@@ -1,0 +1,57 @@
+"""Pinned sha256 digests of `nrqfl run` outputs.
+
+Refactors of the simulator must keep every number it writes bit-identical, so
+a change that moves any value in `rounds.csv` or `summary.json` fails here
+first. `summary.json` is hashed without `config.out_dir`, the one field that
+depends on where the run writes. The digests were recorded on x86-64 with
+numpy 2.4; a change that moves an output on purpose updates them and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from nrqfl.cli import main
+
+WIDE_LIKE = {
+    "n_clients": 40,
+    "selection_m": 10,
+    "classes": 4,
+    "feature_dim": 4,
+    "samples_per_client": 1000,
+    "strategies": ["fedavg", "nrqfl"],
+    "noise": {"p_depol": 0.03, "p_deph": 0.02, "gamma": 0.02, "readout_flip": 0.01},
+    "seed": 5,
+    "rounds": 10,
+}
+
+# name: (config, (sha256 of rounds.csv, sha256 of summary.json without config.out_dir))
+GOLDEN = {
+    "criterion-10": (
+        {"rounds": 8, "seed": 13, "samples_per_client": 100, "test_samples": 200},
+        ("5b7c6e82909e1a8c9db53540d764714fb0e7ef7de2b38e7ef962b2b842dbb1bb",
+         "8910f610d5dd81998386cf25f887e40c2cfee472cb05e3202e33dd5f96b93fbd"),
+    ),
+    "wide-like": (
+        WIDE_LIKE,
+        ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
+         "5062f61096fc9e27c4574b876e774e0d7611fe76851bf1a4e34acc1a49d6d82a"),
+    ),
+}
+
+
+def output_digests(out) -> tuple:
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["config"]["out_dir"]
+    return (hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(summary, indent=2).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_outputs_match_pinned_digests(tmp_path, name):
+    config, digests = GOLDEN[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert output_digests(tmp_path / "out") == digests

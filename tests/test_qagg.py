@@ -143,6 +143,13 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="distinct"):
             qagg.calibrate(DEPOL, 3, probe_angles=(0.5, 0.5))
 
+    def test_rejects_depth_and_probes_outside_the_circuit_range(self):
+        for depth in (0, qagg.MAX_GROUP + 1):
+            with pytest.raises(ValueError, match="depth"):
+                qagg.calibrate(DEPOL, depth)
+        with pytest.raises(ValueError, match="outside"):
+            qagg.calibrate(DEPOL, 3, probe_angles=(0.5, 1.6))
+
 
 class TestAggregate:
     def wide_bounds(self, p):
@@ -330,7 +337,7 @@ class TestCommutationCheck:
     def test_dephasing_z_commutes(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            rho = random_density_matrix(1, rng)
+            rho = random_density_matrix(rng)
             lhs, rhs, holds = qagg.commutation_check(dephasing_channel(0.3), Z_OBSERVABLE, rho)
             assert holds and abs(lhs - rhs) < 1e-10
 
@@ -341,14 +348,14 @@ class TestCommutationCheck:
         assert rhs == pytest.approx(1 - 4 * 0.2 / 3, abs=1e-12)
 
     def test_identity_always_holds(self):
-        rho = random_density_matrix(1, np.random.default_rng(13))
+        rho = random_density_matrix(np.random.default_rng(13))
         _, _, holds = qagg.commutation_check(identity_channel(), Z_OBSERVABLE, rho)
         assert holds
 
 
 class TestNoiseDeviation:
     def test_identity_channel(self):
-        rho = random_density_matrix(1, np.random.default_rng(14))
+        rho = random_density_matrix(np.random.default_rng(14))
         assert qagg.noise_deviation(rho, identity_channel()) == pytest.approx(0.0, abs=1e-12)
 
     def test_dephasing_on_plus(self):
@@ -360,7 +367,7 @@ class TestNoiseDeviation:
         rng = np.random.default_rng(15)
         prev = 0.0
         for p in (0.05, 0.1, 0.2, 0.4):
-            rho = random_density_matrix(1, rng, pure=True)
+            rho = random_density_matrix(rng, pure=True)
             eps = qagg.noise_deviation(rho, depolarizing_channel(p))
             assert eps == pytest.approx(2 * p / 3, abs=1e-10)
             assert eps > prev  # monotone in p

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrqfl import qagg
 from nrqfl.qcore import (
     DensityMatrix,
     KrausChannel,
@@ -17,12 +18,11 @@ from nrqfl.qcore import (
     apply_channel,
     apply_unitary,
     circuit_bloch,
-    circuit_state,
+    circuit_p1,
     compose_channels,
     dephasing_channel,
     depolarizing_channel,
     expectation,
-    flipped_p1,
     identity_channel,
     make_pure_state,
     prob_one,
@@ -60,35 +60,31 @@ class TestMakePureState:
             make_pure_state([1, 1])
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="2 amplitudes"):
             make_pure_state([1, 0, 0])
 
 
 class TestApplyUnitary:
     def test_bit_flip(self):
-        out = apply_unitary(make_pure_state([1, 0]), PAULI_X, 0)
+        out = apply_unitary(make_pure_state([1, 0]), PAULI_X)
         assert np.allclose(out.matrix, [[0, 0], [0, 1]])
 
     def test_identity(self):
-        rho = random_density_matrix(2, np.random.default_rng(0))
-        out = apply_unitary(rho, np.eye(2), 1)
+        rho = random_density_matrix(np.random.default_rng(0))
+        out = apply_unitary(rho, np.eye(2))
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_ry_half_pi_makes_plus(self):
         # oracle: direct matrix product
         u = ry(math.pi / 2)
-        out = apply_unitary(make_pure_state([1, 0]), u, 0)
+        out = apply_unitary(make_pure_state([1, 0]), u)
         oracle = u @ np.array([[1, 0], [0, 0]], dtype=complex) @ u.conj().T
         assert np.allclose(out.matrix, oracle)
         assert np.allclose(out.matrix, plus_state().matrix, atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(make_pure_state([1, 0]), [[1, 0], [0, 2]], 0)
-
-    def test_rejects_bad_qubit(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_unitary(make_pure_state([1, 0]), PAULI_X, 1)
+            apply_unitary(make_pure_state([1, 0]), [[1, 0], [0, 2]])
 
 
 class TestRy:
@@ -116,34 +112,34 @@ class TestChannels:
         # oracle: explicit Kraus sum of Eq.-style operators
         p = 0.05
         rho = make_pure_state([1, 0])
-        out = apply_channel(rho, depolarizing_channel(p), 0)
+        out = apply_channel(rho, depolarizing_channel(p))
         assert expectation(out, Z_OBSERVABLE) == pytest.approx(1 - 4 * p / 3, abs=1e-12)
 
     def test_depolarizing_fixed_point(self):
-        mixed = DensityMatrix(1, np.eye(2) / 2)
-        out = apply_channel(mixed, depolarizing_channel(0.7), 0)
+        mixed = DensityMatrix(np.eye(2) / 2)
+        out = apply_channel(mixed, depolarizing_channel(0.7))
         assert np.allclose(out.matrix, mixed.matrix)
 
     def test_dephasing_half_kills_coherence(self):
-        out = apply_channel(plus_state(), dephasing_channel(0.5), 0)
+        out = apply_channel(plus_state(), dephasing_channel(0.5))
         assert np.allclose(out.matrix, np.eye(2) / 2)
 
     def test_dephasing_diagonal_invariant(self):
-        rho = DensityMatrix(1, np.diag([0.3, 0.7]).astype(complex))
-        out = apply_channel(rho, dephasing_channel(0.4), 0)
+        rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+        out = apply_channel(rho, dephasing_channel(0.4))
         assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_dephasing_off_diagonal_scaling(self):
         # Kraus-sum oracle: off-diagonals scale by 1 - 2p
-        out = apply_channel(plus_state(), dephasing_channel(0.1), 0)
+        out = apply_channel(plus_state(), dephasing_channel(0.1))
         assert out.matrix[0, 1].real == pytest.approx(0.4, abs=1e-12)
 
     def test_damping_total_decay(self):
-        out = apply_channel(make_pure_state([0, 1]), amplitude_damping_channel(1.0), 0)
+        out = apply_channel(make_pure_state([0, 1]), amplitude_damping_channel(1.0))
         assert np.allclose(out.matrix, [[1, 0], [0, 0]])
 
     def test_damping_population_transfer(self):
-        out = apply_channel(make_pure_state([0, 1]), amplitude_damping_channel(0.03), 0)
+        out = apply_channel(make_pure_state([0, 1]), amplitude_damping_channel(0.03))
         assert np.allclose(np.diag(out.matrix).real, [0.03, 0.97])
 
     @pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel, amplitude_damping_channel])
@@ -165,8 +161,8 @@ class TestChannels:
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        rho = random_density_matrix(1, np.random.default_rng(1))
-        out = apply_channel(rho, identity_channel(), 0)
+        rho = random_density_matrix(np.random.default_rng(1))
+        out = apply_channel(rho, identity_channel())
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_double_depolarizing_attenuation(self):
@@ -174,26 +170,21 @@ class TestApplyChannel:
         p = 0.12
         state = make_pure_state([1, 0])
         for _ in range(2):
-            state = apply_channel(state, depolarizing_channel(p), 0)
+            state = apply_channel(state, depolarizing_channel(p))
         assert expectation(state, Z_OBSERVABLE) == pytest.approx((1 - 4 * p / 3) ** 2, abs=1e-12)
-
-    def test_on_second_qubit_of_register(self):
-        rho = make_pure_state([0, 1, 0, 0])  # |01>
-        out = apply_channel(rho, amplitude_damping_channel(1.0), 1)
-        assert np.allclose(out.matrix, make_pure_state([1, 0, 0, 0]).matrix)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30)
     def test_trace_preserved(self, p, seed):
-        rho = random_density_matrix(1, np.random.default_rng(seed))
-        out = apply_channel(rho, depolarizing_channel(p), 0)
+        rho = random_density_matrix(np.random.default_rng(seed))
+        out = apply_channel(rho, depolarizing_channel(p))
         assert abs(np.trace(out.matrix).real - 1) < 1e-10
 
     def test_compose_channels(self):
         rho = make_pure_state([1, 0])
         a, b = depolarizing_channel(0.1), depolarizing_channel(0.2)
-        seq = apply_channel(apply_channel(rho, a, 0), b, 0)
-        comp = apply_channel(rho, compose_channels(a, b), 0)
+        seq = apply_channel(apply_channel(rho, a), b)
+        comp = apply_channel(rho, compose_channels(a, b))
         assert np.allclose(seq.matrix, comp.matrix, atol=1e-12)
 
 
@@ -202,20 +193,25 @@ class TestExpectation:
         assert expectation(make_pure_state([1, 0]), Z_OBSERVABLE) == pytest.approx(1.0)
 
     def test_z_on_mixed(self):
-        assert expectation(DensityMatrix(1, np.eye(2) / 2), Z_OBSERVABLE) == pytest.approx(0.0)
+        assert expectation(DensityMatrix(np.eye(2) / 2), Z_OBSERVABLE) == pytest.approx(0.0)
 
     def test_z_after_rotation(self):
-        state = apply_unitary(make_pure_state([1, 0]), ry(2 * 0.3), 0)
+        state = apply_unitary(make_pure_state([1, 0]), ry(2 * 0.3))
         assert expectation(state, Z_OBSERVABLE) == pytest.approx(math.cos(0.6), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(make_pure_state([1, 0, 0, 0]), Z_OBSERVABLE)
+        # states and observables are 2x2 by construction, so a mismatch cannot reach expectation
+        with pytest.raises(ValueError, match="2x2"):
+            DensityMatrix(np.eye(4) / 4)
+        with pytest.raises(ValueError, match="2x2"):
+            Observable(np.eye(4))
+        with pytest.raises(ValueError, match="2x2"):
+            KrausChannel((np.eye(4),))
 
 
 class TestTraceDistance:
     def test_self_distance(self):
-        rho = random_density_matrix(2, np.random.default_rng(3))
+        rho = random_density_matrix(np.random.default_rng(3))
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
@@ -224,13 +220,13 @@ class TestTraceDistance:
     def test_dephased_plus(self):
         # eigensolve oracle: off-diagonal perturbation of size p has D = p
         p = 0.1
-        out = apply_channel(plus_state(), dephasing_channel(p), 0)
+        out = apply_channel(plus_state(), dephasing_channel(p))
         assert trace_distance(plus_state(), out) == pytest.approx(p, abs=1e-12)
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            a, b = random_density_matrix(2, rng), random_density_matrix(2, rng)
+            a, b = random_density_matrix(rng), random_density_matrix(rng)
             oracle = 0.5 * np.sum(np.linalg.svd(a.matrix - b.matrix, compute_uv=False))
             assert trace_distance(a, b) == pytest.approx(oracle, abs=1e-10)
 
@@ -242,7 +238,7 @@ class TestSampleMeasurement:
 
     def test_mixed_state_frequency(self):
         rng = np.random.default_rng(5)
-        mixed = DensityMatrix(1, np.eye(2) / 2)
+        mixed = DensityMatrix(np.eye(2) / 2)
         _, ones = sample_measurement(mixed, 0, 10**6, rng)
         assert abs(ones / 10**6 - 0.5) < 0.002  # binomial 3-sigma
 
@@ -261,6 +257,10 @@ class TestSampleMeasurement:
         with pytest.raises(ValueError):
             sample_measurement(plus_state(), 0, 0, np.random.default_rng(0))
 
+    def test_rejects_target_qubit_1(self):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_measurement(plus_state(), 1, 100, np.random.default_rng(0))
+
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -275,10 +275,10 @@ class TestCircuitEngine:
         noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma)
         oracle = make_pure_state([1.0, 0.0])
         for theta in gates:
-            oracle = apply_unitary(oracle, ry(theta), 0)
+            oracle = apply_unitary(oracle, ry(theta))
             for ch in noise.gate_channels():
-                oracle = apply_channel(oracle, ch, 0)
-        engine = circuit_state(gates, noise)
+                oracle = apply_channel(oracle, ch)
+        engine = qagg.simulate_plan(qagg.CircuitPlan(tuple(gates), len(gates)), noise)
         assert isinstance(engine, DensityMatrix)
         assert np.max(np.abs(engine.matrix - oracle.matrix)) <= 1e-12
 
@@ -290,14 +290,14 @@ class TestCircuitEngine:
                                             min_size=rows, max_size=rows)))
         noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma, readout_flip=flip)
         x, z = circuit_bloch(gates, noise)
-        assert x.shape == z.shape == (rows,)
-        p1 = flipped_p1(np.clip((1.0 - z) / 2.0, 0.0, 1.0), flip)
+        p1 = circuit_p1(gates, noise)
+        assert x.shape == z.shape == p1.shape == (rows,)
         for i, row in enumerate(gates):
             oracle = make_pure_state([1.0, 0.0])
             for theta in row:
-                oracle = apply_unitary(oracle, ry(theta), 0)
+                oracle = apply_unitary(oracle, ry(theta))
                 for ch in noise.gate_channels():
-                    oracle = apply_channel(oracle, ch, 0)
+                    oracle = apply_channel(oracle, ch)
             m = oracle.matrix
             assert abs(x[i] - 2 * m[0, 1].real) <= 1e-12
             assert abs(z[i] - (m[0, 0] - m[1, 1]).real) <= 1e-12
@@ -315,14 +315,9 @@ class TestCircuitEngine:
 
     @given(st.floats(min_value=0.0, max_value=math.pi), unit)
     def test_readout_p1_matches_flip_formula(self, theta, f):
-        state = apply_unitary(make_pure_state([1.0, 0.0]), ry(theta), 0)
-        p1 = prob_one(state, 0)
+        state = apply_unitary(make_pure_state([1.0, 0.0]), ry(theta))
+        p1 = prob_one(state)
         assert readout_p1(state, f) == pytest.approx(p1 * (1 - f) + (1 - p1) * f, abs=1e-15)
-
-    def test_readout_p1_on_second_qubit(self):
-        state = make_pure_state([0, 1, 0, 0])  # |01>
-        assert readout_p1(state, 0.1, 1) == pytest.approx(0.9)
-        assert readout_p1(state, 0.1, 0) == pytest.approx(0.1)
 
     def test_readout_p1_rejects_bad_flip(self):
         with pytest.raises(ValueError, match="readout_flip"):
@@ -332,11 +327,11 @@ class TestCircuitEngine:
 class TestInvariantsAndSerialization:
     def test_density_matrix_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(1, np.eye(2))
+            DensityMatrix(np.eye(2))
 
     def test_density_matrix_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(1, np.array([[0.5, 1], [0, 0.5]], dtype=complex))
+            DensityMatrix(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
 
     def test_observable_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
