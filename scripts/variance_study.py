@@ -36,10 +36,8 @@ def main():
         for depth in (1, 3, 5, 7, 9):
             angles = rng.uniform(0.1, 1.4, size=depth)
             plan = qagg.build_plan(angles)
-            cfg = qagg.AggregationConfig(shots=shots, n_clients=depth,
-                                         sigma_shot=0.5, sigma_gate=sigma_gate)
             ev = qagg.empirical_variance(plan, noise, shots, args.trials, rng)
-            bound = qagg.variance_bound(cfg, plan.depth)
+            bound = qagg.variance_bound(shots, depth, plan.depth, sigma_gate)
             ok = ev <= bound
             held += ok
             total += 1

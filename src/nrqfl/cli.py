@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import flsim, qagg, validate
-from .config import ConfigError, ExperimentConfig, group_depths, parse_config
+from .config import ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
 
 CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
 
@@ -101,21 +101,30 @@ def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
     return qagg.empirical_variance(plan, cfg.noise, cfg.shots, 300, rng)
 
 
+def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    """`cfg` with one axis set to `value`, validated like a config file.
+
+    A non-integer `shots` or `depth` value stays a float, so the config rejects it.
+    """
+    data = cfg.to_dict()
+    count = int(value) if float(value).is_integer() else value
+    if axis == "shots":
+        data["shots"] = count
+    elif axis == "noise":
+        data["noise"]["p_depol"] = value
+    elif axis == "depth":
+        data.update(n_clients=count, selection_m=None)
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    return config_from_dict(data)
+
+
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
     if len(values) < 2:
         raise ConfigError("sweep needs at least two axis values")
+    run_cfgs = [_sweep_config(cfg, axis, value) for value in values]  # every value is checked before any run
     rows = []
-    for value in values:
-        if axis == "shots":
-            run_cfg = cfg.replace(shots=int(value))
-        elif axis == "noise":
-            run_cfg = cfg.replace(noise=cfg.noise.__class__(
-                p_depol=float(value), p_deph=cfg.noise.p_deph,
-                gamma=cfg.noise.gamma, readout_flip=cfg.noise.readout_flip))
-        elif axis == "depth":
-            run_cfg = cfg.replace(n_clients=int(value), selection_m=None)
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
+    for value, run_cfg in zip(values, run_cfgs):
         depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit
         for strategy in run_cfg.strategies:
             records = flsim.run_experiment(run_cfg, strategy)

@@ -169,11 +169,6 @@ class ExperimentConfig:
                                           if getattr(self.noise, k))
                         raise ConfigError(f"under {named}, nrqfl {exc}") from exc
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        import dataclasses
-
-        return dataclasses.replace(self, **kwargs)
-
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         n = d.pop("noise")

@@ -68,17 +68,6 @@ def decode_exact(state: DensityMatrix) -> float:
     return math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
 
 
-def decode_shots(counts) -> float:
-    """arcsin(sqrt(ones/shots)) from measurement counts (zeros, ones)."""
-    zeros, ones = counts
-    total = zeros + ones
-    if total < 1:
-        raise ValueError("need at least one shot to decode")
-    if zeros < 0 or ones < 0:
-        raise ValueError("counts must be non-negative")
-    return math.asin(math.sqrt(ones / total))
-
-
 def z_to_angle(z):
     """Decode <Z> values (a float or an array), clamped to [-1, 1]: P(1) = (1 - z)/2."""
     return np.arcsin(np.sqrt((1.0 - np.clip(z, -1.0, 1.0)) / 2.0))

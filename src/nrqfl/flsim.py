@@ -209,12 +209,11 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds) -> tuple:
     return eps, mean_angle
 
 
-def _aggregation_config(cfg: ExperimentConfig, strategy: str, n_selected: int) -> qagg.AggregationConfig:
+def _aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
     mitigation = frozenset(cfg.mitigation) if strategy == "nrqfl" else frozenset()
     repeats = cfg.repeats if strategy == "nrqfl" else 1
     return qagg.AggregationConfig(
         shots=cfg.shots,
-        n_clients=n_selected,
         repeats=repeats,
         mitigation=mitigation,
         exact_expectation=cfg.exact_expectation,
@@ -260,7 +259,7 @@ def run_round(
             bounds = [WeightBounds(-b, b)] * p
         else:
             bounds = [bounds_from_values(updates[:, j]) for j in range(p)]
-        acfg = _aggregation_config(cfg, strategy, len(selected))
+        acfg = _aggregation_config(cfg, strategy)
         result = qagg.replicated_aggregate(
             updates, bounds, acfg, cfg.noise, cfg.n_servers,
             seed_key=(cfg.seed, STRATEGIES.index(strategy), round_index),

@@ -47,18 +47,13 @@ class AggregationConfig:
     """Knobs for one quantum aggregation call."""
 
     shots: int = 4096
-    n_clients: int = 5
     repeats: int = 1
     mitigation: frozenset = frozenset()
-    sigma_shot: float = 0.5
-    sigma_gate: float = 0.0
     exact_expectation: bool = False
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         unknown = set(self.mitigation) - MITIGATION_FLAGS
@@ -77,8 +72,8 @@ class CircuitPlan:
     def __post_init__(self):
         if self.depth != len(self.gates):
             raise ValueError("depth must equal the gate count")
-        if not 1 <= self.depth < 10:
-            raise ValueError(f"circuit depth must be in 1..9, got {self.depth}")
+        if not 1 <= self.depth <= MAX_GROUP:
+            raise ValueError(f"circuit depth must be in 1..{MAX_GROUP}, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,6 @@ class AggregateEstimate:
 
     value: float
     z_raw: float
-    variance_estimate: float
 
 
 @dataclass(frozen=True)
@@ -149,16 +143,13 @@ def run_plan(
     """
     if exact:
         p1 = float(circuit_p1(plan.gates, noise))
-        var = 0.0
     else:
         if rng is None:
             raise ValueError("sampled execution needs an RNG stream")
         zeros, ones = sample_measurement(simulate_plan(plan, noise), 0, shots, rng, noise.readout_flip)
         p1 = ones / shots
-        # delta-method shot variance of arcsin(sqrt(p)) is ~1/(4S), p-independent
-        var = 1.0 / (4.0 * shots)
     angle = math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
-    return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1, variance_estimate=var)
+    return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1)
 
 
 def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
@@ -266,9 +257,9 @@ def replicated_aggregate(
     return AggregateResult(vector=np.median(stacked, axis=0), clip_count=results[0].clip_count)
 
 
-def variance_bound(cfg: AggregationConfig, depth: int) -> float:
+def variance_bound(shots: int, n_clients: int, depth: int, sigma_gate: float, sigma_shot: float = 0.5) -> float:
     """sigma_shot^2/(N*S) + sigma_gate^2 * d / N."""
-    return cfg.sigma_shot**2 / (cfg.n_clients * cfg.shots) + cfg.sigma_gate**2 * depth / cfg.n_clients
+    return sigma_shot**2 / (n_clients * shots) + sigma_gate**2 * depth / n_clients
 
 
 def _sample_ones(plan: CircuitPlan, noise: NoiseModel, shots: int, trials: int, rng: np.random.Generator):

@@ -18,6 +18,7 @@ import numpy as np
 from .qcore import NoiseModel, circuit_p1
 
 ENTROPY_CIRCUIT = (math.pi / 2,)
+CHUNK = 1 << 16  # raw bits drawn per refill of an EntropySource
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,14 @@ def von_neumann_extract(bits: np.ndarray) -> np.ndarray:
 
 
 class EntropySource:
-    """Buffered stream of (optionally unbiased) quantum-entropy bits.
+    """Buffered stream of von Neumann-extracted quantum-entropy bits.
 
+    Each refill draws exactly CHUNK raw bits from the source's own generator.
     At p1 (the circuit's P(1)) of 0 or 1 the raw bits are constant, so drawing raises.
     """
 
-    def __init__(self, noise: NoiseModel, seed, unbias: bool = True, chunk: int = 1 << 16):
+    def __init__(self, noise: NoiseModel, seed):
         self.noise = noise
-        self.unbias = unbias
-        self.chunk = chunk
         self._rng = np.random.default_rng(seed)
         self._buffer = np.empty(0, dtype=np.uint8)
         self.bits_consumed = 0
@@ -76,8 +76,7 @@ class EntropySource:
         while len(self._buffer) < need:
             if self.p1 in (0.0, 1.0):
                 raise ValueError(f"entropy circuit reads P(1) = {self.p1} under {self.noise}; it yields no random bits")
-            raw = quantum_random_bits(self.chunk, self.noise, self._rng)
-            fresh = von_neumann_extract(raw) if self.unbias else raw
+            fresh = von_neumann_extract(quantum_random_bits(CHUNK, self.noise, self._rng))
             self._buffer = np.concatenate([self._buffer, fresh])
 
     def take(self, k: int) -> np.ndarray:

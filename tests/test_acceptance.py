@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
+Criteria 1, 2, 3, 5 and 6 run the `nrqfl validate` checks at this suite's
+seeds and sizes, so each invariant has one implementation. Run with
+`pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The heavyweight ten-seed comparison (criterion 8) is computed once in a
 session fixture shared by its sub-assertions.
 """
@@ -12,21 +14,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nrqfl import flsim, qagg, qselect
+from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
 from nrqfl.config import ExperimentConfig
-from nrqfl.encode import HALF_PI, decode_exact, encode
+from nrqfl.encode import HALF_PI, encode
 from nrqfl.qcore import (
     NoiseModel,
-    Z_OBSERVABLE,
-    amplitude_damping_channel,
     apply_channel,
     compose_channels,
     dephasing_channel,
-    depolarizing_channel,
     identity_channel,
     make_pure_state,
-    random_density_matrix,
 )
 
 DEFAULT_NOISE = NoiseModel(p_depol=0.05, gamma=0.03)
@@ -37,46 +35,32 @@ def report(criterion, passed, detail=""):
     assert passed, f"criterion {criterion}: {detail}"
 
 
+def report_checks(criterion, results, passed=True, detail=""):
+    """Report `validate` check results, plus the condition and detail only this criterion adds."""
+    details = [f"{r.name} {r.detail}" for r in results] + ([detail] if detail else [])
+    report(criterion, passed and all(r.passed for r in results), "; ".join(details))
+
+
 def test_criterion_1_cptp_suite():
     t0 = time.perf_counter()
-    worst_residual = 0.0
-    for p in np.arange(0.0, 1.0001, 0.01):
-        for ctor in (depolarizing_channel, dephasing_channel, amplitude_damping_channel):
-            ch = ctor(float(p))
-            total = sum(e.conj().T @ e for e in ch.operators)
-            worst_residual = max(worst_residual, float(np.linalg.norm(total - np.eye(2))))
-    channels = [depolarizing_channel(0.05), dephasing_channel(0.1), amplitude_damping_channel(0.03)]
-    worst_trace, min_eig = 0.0, 0.0
-    rng = np.random.default_rng(0)
-    for seed in range(1000):
-        rho = random_density_matrix(rng, pure=bool(seed % 2))
-        for ch in channels:
-            out = apply_channel(rho, ch)
-            worst_trace = max(worst_trace, abs(float(np.trace(out.matrix).real) - 1.0))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(out.matrix).min()))
+    results = [
+        validate.check_cptp_completeness(),
+        validate.check_trace_preservation(seed=0, states=1000),
+        validate.check_psd_preservation(seed=0, states=1000, strengths=(0.05, 0.1, 0.03)),
+    ]
     elapsed = time.perf_counter() - t0
-    ok = worst_residual < 1e-10 and worst_trace < 1e-10 and min_eig >= -1e-9 and elapsed < 10
-    report(1, ok, f"completeness {worst_residual:.1e}, trace {worst_trace:.1e}, "
-                  f"min eig {min_eig:.1e}, {elapsed:.1f}s")
+    report_checks(1, results, elapsed < 10, f"{elapsed:.1f}s")
 
 
 def test_criterion_2_encoding_round_trip():
-    worst = max(abs(decode_exact(encode(float(a))) - a) for a in np.linspace(0.0, HALF_PI, 1000))
-    report(2, worst < 1e-12, f"worst round-trip error {worst:.2e}")
+    report_checks(2, [validate.check_encode_roundtrip()])
 
 
 def test_criterion_3_theorem1_linearity():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    noiseless = NoiseModel()
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 10))
-        angles = rng.uniform(0.0, HALF_PI, size=n)
-        est = qagg.run_plan(qagg.build_plan(angles), noiseless, 1, None, exact=True)
-        worst = max(worst, abs(est.value - float(np.mean(angles))))  # brute-force mean oracle
+    result = validate.check_theorem1_linearity(seed=1, sets=1000)
     elapsed = time.perf_counter() - t0
-    report(3, worst < 1e-9 and elapsed < 30, f"worst |aggregate - mean| {worst:.2e}, {elapsed:.1f}s")
+    report_checks(3, [result], elapsed < 30, f"{elapsed:.1f}s")
 
 
 def test_criterion_4_theorem1_noise_bound():
@@ -102,41 +86,18 @@ def test_criterion_4_theorem1_noise_bound():
 
 def test_criterion_5_theorem2_bound_soundness():
     t0 = time.perf_counter()
-    sigma_gate = qagg.fit_sigma_gate(DEFAULT_NOISE, np.random.default_rng(2), trials=300)
-    rng = np.random.default_rng(3)
-    violations = 0
-    configs = 1000
-    for _ in range(configs):
-        n = int(rng.integers(1, 10))  # single-group plans: depth d = N
-        shots = int(rng.integers(256, 65537))
-        plan = qagg.build_plan(rng.uniform(0.05, HALF_PI - 0.05, size=n))
-        cfg = qagg.AggregationConfig(shots=shots, n_clients=n, sigma_shot=0.5, sigma_gate=sigma_gate)
-        if qagg.empirical_variance(plan, DEFAULT_NOISE, shots, 300, rng) > qagg.variance_bound(cfg, plan.depth):
-            violations += 1
-    rate = violations / configs
+    result = validate.check_theorem2_bound(seed=3, fit_seed=2, configs=1000, trials=300)
     plan = qagg.build_plan([0.3, 0.5, 0.7, 0.9, 1.1])
     v1 = qagg.empirical_variance(plan, DEFAULT_NOISE, 2048, 500, np.random.default_rng(4))
     v4 = qagg.empirical_variance(plan, DEFAULT_NOISE, 8192, 500, np.random.default_rng(5))
     ratio = v1 / v4
     elapsed = time.perf_counter() - t0
-    ok = rate <= 0.05 and 3.0 <= ratio <= 5.0 and elapsed < 300
-    report(5, ok, f"violation rate {rate:.3f} (sigma_gate={sigma_gate:.4f}), "
+    report_checks(5, [result], 3.0 <= ratio <= 5.0 and elapsed < 300,
                   f"4x-shot variance ratio {ratio:.2f}, {elapsed:.0f}s")
 
 
 def test_criterion_6_theorem3_commutation():
-    rng = np.random.default_rng(6)
-    worst_hold, worst_law = 0.0, 0.0
-    for _ in range(100):
-        rho = random_density_matrix(rng, pure=bool(rng.integers(2)))
-        p = float(rng.uniform(0.01, 0.99))
-        lhs, rhs, holds = qagg.commutation_check(dephasing_channel(p), Z_OBSERVABLE, rho)
-        worst_hold = max(worst_hold, abs(lhs - rhs))
-        assert holds
-        lhs, rhs, _ = qagg.commutation_check(depolarizing_channel(p), Z_OBSERVABLE, rho)
-        worst_law = max(worst_law, abs(abs(lhs - rhs) - (4 * p / 3) * abs(lhs)))
-    ok = worst_hold < 1e-10 and worst_law < 1e-9
-    report(6, ok, f"dephasing/Z equality {worst_hold:.2e}, depolarizing violation law {worst_law:.2e}")
+    report_checks(6, [validate.check_theorem3_commutation(seed=6)])
 
 
 def test_criterion_7_mitigation_efficacy():

@@ -322,6 +322,31 @@ class TestCmdSweep:
         assert depths == [4, 9, 5, 6, 6, 7, 7, 8, 8]
 
 
+    @pytest.mark.parametrize("axis, values, key", [
+        ("noise", "2,0.1", "noise.p_depol"),
+        ("noise", "nan,0.1", "noise.p_depol"),
+        ("noise", "0.1,-0.5", "noise.p_depol"),
+        ("shots", "nan,1024", "shots"),
+        ("shots", "1024.7,2048", "shots"),
+        ("shots", "1024,inf", "shots"),
+        ("depth", "2.5,3", "n_clients"),
+        ("depth", "3,4,1", "n_clients"),
+    ])
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, axis, values, key):
+        runs = []
+        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg, strategy: runs.append(strategy))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                     "--axis", axis, "--values", values])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+
 class TestCmdValidate:
-    def test_negative_control_fails(self):
+    def test_negative_control_fails(self, capsys):
         assert main(["validate", "--inject-broken-channel"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[PASS]") for line in lines) == 14
+        assert [line.split(":")[0] for line in lines if line.startswith("[FAIL]")] == [
+            "[FAIL] injected_broken_channel_cptp"]

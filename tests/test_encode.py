@@ -10,7 +10,6 @@ from nrqfl.encode import (
     WeightBounds,
     bounds_from_values,
     decode_exact,
-    decode_shots,
     denormalize,
     encode,
     normalize,
@@ -80,33 +79,6 @@ class TestEncodeDecode:
     def test_round_trip_grid(self):
         for a in np.linspace(0.0, HALF_PI, 1000):
             assert abs(decode_exact(encode(float(a))) - a) < 1e-12
-
-
-class TestDecodeShots:
-    def test_all_zeros(self):
-        assert decode_shots((100, 0)) == 0.0
-
-    def test_all_ones(self):
-        assert decode_shots((0, 100)) == pytest.approx(HALF_PI)
-
-    def test_quarter(self):
-        assert decode_shots((750, 250)) == pytest.approx(math.pi / 6, abs=1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            decode_shots((0, 0))
-
-    def test_shot_consistency(self):
-        # estimator converges: at 1e5 shots the decoded angle is within 0.01 rad
-        rng = np.random.default_rng(8)
-        misses = 0
-        for _ in range(200):
-            a = rng.uniform(0.1, HALF_PI - 0.1)
-            p1 = math.sin(a) ** 2
-            ones = rng.binomial(10**5, p1)
-            if abs(decode_shots((10**5 - ones, ones)) - a) >= 0.01:
-                misses += 1
-        assert misses <= 2
 
 
 class TestWeightBounds:

@@ -156,13 +156,13 @@ class TestAggregate:
         return [WeightBounds(-10.0, 10.0)] * p
 
     def test_noiseless_mean(self):
-        cfg = qagg.AggregationConfig(n_clients=2, exact_expectation=True)
+        cfg = qagg.AggregationConfig(exact_expectation=True)
         result = qagg.aggregate([[1.0, 2.0], [3.0, 4.0]], self.wide_bounds(2), cfg, NOISELESS)
         assert result.vector == pytest.approx([2.0, 3.0], abs=1e-9)
 
     def test_identical_vectors_under_noise(self):
         cfg = qagg.AggregationConfig(
-            shots=10**5, n_clients=3, repeats=3,
+            shots=10**5, repeats=3,
             mitigation=frozenset(qagg.MITIGATION_FLAGS),
         )
         noise = NoiseModel(p_depol=0.05, gamma=0.03)
@@ -175,22 +175,22 @@ class TestAggregate:
     def test_group_splitting_matches_global_mean(self):
         rng = np.random.default_rng(3)
         vecs = rng.uniform(-5, 5, size=(12, 3))
-        cfg = qagg.AggregationConfig(n_clients=12, exact_expectation=True)
+        cfg = qagg.AggregationConfig(exact_expectation=True)
         result = qagg.aggregate(vecs, self.wide_bounds(3), cfg, NOISELESS)
         assert result.vector == pytest.approx(vecs.mean(axis=0), abs=1e-9)
 
     def test_clip_counting(self):
-        cfg = qagg.AggregationConfig(n_clients=2, exact_expectation=True)
+        cfg = qagg.AggregationConfig(exact_expectation=True)
         result = qagg.aggregate([[20.0], [0.0]], [WeightBounds(-10, 10)], cfg, NOISELESS)
         assert result.clip_count == 1
 
     def test_rejects_mismatched_bounds(self):
-        cfg = qagg.AggregationConfig(n_clients=2)
+        cfg = qagg.AggregationConfig()
         with pytest.raises(ValueError):
             qagg.aggregate([[1.0, 2.0], [3.0, 4.0]], [WeightBounds(-1, 1)], cfg, NOISELESS)
 
     def test_seeded_determinism(self):
-        cfg = qagg.AggregationConfig(shots=1000, n_clients=2)
+        cfg = qagg.AggregationConfig(shots=1000)
         vecs = [[1.0, 2.0], [3.0, 4.0]]
         a = qagg.aggregate(vecs, self.wide_bounds(2), cfg, DEPOL, seed_key=(5,))
         b = qagg.aggregate(vecs, self.wide_bounds(2), cfg, DEPOL, seed_key=(5,))
@@ -263,7 +263,7 @@ class TestCalibrationCache:
 
 class TestReplicatedAggregate:
     def test_single_server_bit_identical(self):
-        cfg = qagg.AggregationConfig(shots=1000, n_clients=2)
+        cfg = qagg.AggregationConfig(shots=1000)
         vecs = [[1.0], [3.0]]
         bounds = [WeightBounds(-10, 10)]
         direct = qagg.aggregate(vecs, bounds, cfg, DEPOL, seed_key=(9,))
@@ -271,7 +271,7 @@ class TestReplicatedAggregate:
         assert np.array_equal(direct.vector, replicated.vector)
 
     def test_median_robust_to_outlier(self):
-        cfg = qagg.AggregationConfig(n_clients=2, exact_expectation=True)
+        cfg = qagg.AggregationConfig(exact_expectation=True)
         vecs = [[1.0], [3.0]]
         bounds = [WeightBounds(-10, 10)]
         result = qagg.replicated_aggregate(vecs, bounds, cfg, NOISELESS, 5, seed_key=(1,))
@@ -280,7 +280,7 @@ class TestReplicatedAggregate:
         assert np.median(per_server) == pytest.approx(result.vector[0])
 
     def test_variance_not_worse_than_single(self):
-        cfg = qagg.AggregationConfig(shots=500, n_clients=3)
+        cfg = qagg.AggregationConfig(shots=500)
         vecs = [[0.5], [1.0], [1.5]]
         bounds = [WeightBounds(0, 2)]
         singles, triples = [], []
@@ -290,24 +290,21 @@ class TestReplicatedAggregate:
         assert np.var(triples) <= np.var(singles)
 
     def test_rejects_zero_servers(self):
-        cfg = qagg.AggregationConfig(n_clients=1)
+        cfg = qagg.AggregationConfig()
         with pytest.raises(ValueError):
             qagg.replicated_aggregate([[1.0]], [WeightBounds(0, 2)], cfg, NOISELESS, 0)
 
 
 class TestVarianceBound:
     def test_direct_formula(self):
-        cfg = qagg.AggregationConfig(shots=1024, n_clients=5, sigma_shot=0.5, sigma_gate=0.02)
-        assert qagg.variance_bound(cfg, 5) == pytest.approx(0.25 / 5120 + 4e-4 * 5 / 5, abs=1e-12)
+        bound = qagg.variance_bound(1024, 5, 5, 0.02, sigma_shot=0.5)
+        assert bound == pytest.approx(0.25 / 5120 + 4e-4 * 5 / 5, abs=1e-12)
 
     def test_noiseless_limit(self):
-        cfg = qagg.AggregationConfig(shots=10**9, n_clients=5, sigma_gate=0.0)
-        assert qagg.variance_bound(cfg, 5) < 1e-9
+        assert qagg.variance_bound(10**9, 5, 5, 0.0) < 1e-9
 
     def test_doubling_shots_halves_shot_term(self):
-        a = qagg.AggregationConfig(shots=1000, n_clients=4, sigma_gate=0.0)
-        b = qagg.AggregationConfig(shots=2000, n_clients=4, sigma_gate=0.0)
-        assert qagg.variance_bound(a, 4) == pytest.approx(2 * qagg.variance_bound(b, 4))
+        assert qagg.variance_bound(1000, 4, 4, 0.0) == pytest.approx(2 * qagg.variance_bound(2000, 4, 4, 0.0))
 
 
 class TestEmpiricalVariance:
@@ -385,7 +382,7 @@ class TestFitSigmaGate:
             n = int(rng.integers(1, 10))
             shots = int(rng.integers(256, 65537))
             plan = qagg.build_plan(rng.uniform(0.05, HALF_PI - 0.05, size=n))
-            cfg = qagg.AggregationConfig(shots=shots, n_clients=n, sigma_gate=sigma_gate)
-            if qagg.empirical_variance(plan, noise, shots, 150, rng) > qagg.variance_bound(cfg, plan.depth):
+            bound = qagg.variance_bound(shots, n, plan.depth, sigma_gate)
+            if qagg.empirical_variance(plan, noise, shots, 150, rng) > bound:
                 violations += 1
         assert violations <= 5
