@@ -90,14 +90,17 @@ SWEEP_HEADER = ["axis", "value", "strategy", "final_accuracy", "final_f1", "mean
 
 
 def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
-    """Estimate-per-round variance at this configuration's depth and shot count."""
+    """Estimate-per-round variance at this configuration's depth and shot count.
+
+    nrqfl's estimate goes through the mitigation its runs apply (`cfg.mitigation`).
+    """
     if strategy == "fedavg":
         return 0.0
     rng = np.random.default_rng([cfg.seed, 0x5E])
     angles = np.linspace(0.3, 0.9, depth)
     plan = qagg.build_plan(angles)
     if strategy == "nrqfl":
-        return qagg.empirical_mitigated_variance(plan, cfg.noise, cfg.shots, 300, rng)
+        return qagg.empirical_mitigated_variance(plan, cfg.noise, cfg.shots, 300, rng, cfg.mitigation)
     return qagg.empirical_variance(plan, cfg.noise, cfg.shots, 300, rng)
 
 
@@ -122,6 +125,8 @@ def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentC
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
     if len(values) < 2:
         raise ConfigError("sweep needs at least two axis values")
+    if cfg.rounds < 1:
+        raise ConfigError(f"rounds must be >= 1 for a sweep, which reports each run's final round; got {cfg.rounds}")
     run_cfgs = [_sweep_config(cfg, axis, value) for value in values]  # every value is checked before any run
     rows = []
     for value, run_cfg in zip(values, run_cfgs):

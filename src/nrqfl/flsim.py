@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import qagg, qselect
 from .config import ExperimentConfig
-from .encode import WeightBounds, bounds_from_values, encode, normalize_array
-from .qcore import NoiseModel, compose_channels, identity_channel
+from .encode import WeightBounds, bounds_from_values, normalize_array
+from .qcore import NoiseModel
 
 STRATEGIES = ("fedavg", "qfl", "nrqfl")
 
@@ -191,22 +190,12 @@ def _grad_variance(updates: np.ndarray) -> float:
     return float(np.mean((updates - updates.mean(axis=0)) ** 2))
 
 
-@lru_cache(maxsize=64)
-def _gate_noise_channel(noise: NoiseModel):
-    """The composed channel of one gate-noise pass; built and validated once per noise model."""
-    channel = identity_channel()
-    for ch in noise.gate_channels():
-        channel = compose_channels(channel, ch)
-    return channel
-
-
 def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds) -> tuple:
     """Noise deviation of the round's mean encoded state under one gate-noise pass."""
     lo = np.array([b.lo for b in bounds])
     hi = np.array([b.hi for b in bounds])
     mean_angle = float(np.mean(normalize_array(updates.mean(axis=0), lo, hi)))
-    eps = qagg.noise_deviation(encode(mean_angle), _gate_noise_channel(noise))
-    return eps, mean_angle
+    return qagg.noise_deviation(mean_angle, noise), mean_angle
 
 
 def _aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:

@@ -8,7 +8,9 @@ of <= 9 (depth stays below 10) whose results are combined by a size-weighted
 classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
 `aggregate` takes the circuits of all parameters of a group in one call, and
 `build_plan` / `run_plan` run one circuit. `simulate_plan` is the one place a
-circuit's state matrix is built, for sampled `run_plan` and for tests.
+circuit's state matrix is built, for sampled `run_plan` and for tests. The
+per-round noise deviation (`noise_deviation`) is a closed form on the same
+engine's Bloch vectors, so a run builds no state matrix or Kraus channel.
 
 Mitigation layers, selected by flags in AggregationConfig:
   - measurement_averaging: average <Z> over `repeats` independent executions
@@ -38,7 +40,6 @@ from .qcore import (
     circuit_p1,
     expectation,
     sample_measurement,
-    trace_distance,
 )
 
 
@@ -178,10 +179,10 @@ def _rng_for(seed_key, *suffix) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _mitigate_z(z, cfg, noise, depth: int, transfer: TransferFunction | None):
-    if "calibration" in cfg.mitigation:
-        return (transfer if transfer is not None else _default_transfer(noise, depth)).invert(z)
-    if "channel_inversion" in cfg.mitigation:
+def _mitigate_z(z, mitigation, noise, depth: int):
+    if "calibration" in mitigation:
+        return _default_transfer(noise, depth).invert(z)
+    if "channel_inversion" in mitigation:
         return mitigate_channel_inversion(z, noise, depth)
     return np.clip(z, -1.0, 1.0)
 
@@ -192,7 +193,6 @@ def aggregate(
     cfg: AggregationConfig,
     noise: NoiseModel,
     seed_key=(0,),
-    transfer: TransferFunction | None = None,
 ) -> AggregateResult:
     """Quantum-aggregate N client parameter vectors into their (uniform) mean.
 
@@ -230,7 +230,7 @@ def aggregate(
             ones = np.array([[_rng_for(seed_key, j, g, r).binomial(cfg.shots, p1[j]) for r in range(repeats)]
                              for j in range(p)])
             z = np.mean(1.0 - 2.0 * (ones / cfg.shots), axis=1)
-        group_angles[g] = z_to_angle(_mitigate_z(z, cfg, noise, d, transfer))
+        group_angles[g] = z_to_angle(_mitigate_z(z, cfg.mitigation, noise, d))
     mean_angle = np.average(group_angles, axis=0, weights=sizes)
     return AggregateResult(vector=denormalize_array(mean_angle, lo, hi), clip_count=clip_count)
 
@@ -242,17 +242,13 @@ def replicated_aggregate(
     noise: NoiseModel,
     n_servers: int,
     seed_key=(0,),
-    transfer: TransferFunction | None = None,
 ) -> AggregateResult:
     """Run `aggregate` on n_servers independent streams; coordinate-wise median."""
     if n_servers < 1:
         raise ValueError("n_servers must be >= 1")
     if n_servers == 1:
-        return aggregate(client_vectors, bounds, cfg, noise, seed_key, transfer)
-    results = [
-        aggregate(client_vectors, bounds, cfg, noise, tuple(seed_key) + (s,), transfer)
-        for s in range(n_servers)
-    ]
+        return aggregate(client_vectors, bounds, cfg, noise, seed_key)
+    results = [aggregate(client_vectors, bounds, cfg, noise, tuple(seed_key) + (s,)) for s in range(n_servers)]
     stacked = np.stack([r.vector for r in results])
     return AggregateResult(vector=np.median(stacked, axis=0), clip_count=results[0].clip_count)
 
@@ -293,13 +289,13 @@ def empirical_mitigated_variance(
     shots: int,
     trials: int,
     rng: np.random.Generator,
-    transfer: TransferFunction | None = None,
+    mitigation=frozenset({"calibration"}),
 ) -> float:
-    """Sample variance of the calibrated estimate; grows with depth because the
-    inverse transfer amplifies shot noise by 1/lam_hat."""
+    """Sample variance of the estimate mitigated as `aggregate` mitigates it under
+    `mitigation`; calibrated, it grows with depth because the inverse transfer
+    amplifies shot noise by 1/lam_hat."""
     ones = _sample_ones(plan, noise, shots, trials, rng)
-    tf = transfer if transfer is not None else _default_transfer(noise, plan.depth)
-    angles = z_to_angle(tf.invert(1.0 - 2.0 * ones / shots))
+    angles = z_to_angle(_mitigate_z(1.0 - 2.0 * ones / shots, mitigation, noise, plan.depth))
     return float(np.var(angles, ddof=1))
 
 
@@ -337,6 +333,12 @@ def commutation_check(channel: KrausChannel, m: Observable, state: DensityMatrix
     return lhs, rhs, abs(lhs - rhs) < 1e-10
 
 
-def noise_deviation(state: DensityMatrix, channel: KrausChannel) -> float:
-    """Trace distance D(rho, E(rho)): the empirical per-round noise epsilon."""
-    return trace_distance(state, apply_channel(state, channel))
+def noise_deviation(angle: float, noise: NoiseModel) -> float:
+    """Trace distance D(rho, E(rho)) of the encoded state of `angle` and one gate-noise
+    pass E: the empirical per-round noise epsilon.
+
+    On one qubit D = |r - r'|/2 for Bloch vectors r and r' (Nielsen & Chuang
+    9.2); here r = (sin 2a, cos 2a) and r' is `circuit_bloch` of one Ry(2a) gate.
+    """
+    x, z = circuit_bloch([2.0 * angle], noise)
+    return 0.5 * math.hypot(math.sin(2.0 * angle) - float(x), math.cos(2.0 * angle) - float(z))

@@ -1,16 +1,18 @@
 """One-qubit simulator: the qubit each model parameter is encoded on.
 
-States are 2x2 complex density matrices and noise is modeled with 2x2 Kraus
-channels; everything is validated against the standard invariants (Hermitian,
-unit trace, PSD, channel completeness). All operations are pure functions of
-their inputs; the only stateful object is the caller's RNG stream.
-
 `circuit_bloch` is the one engine for the noisy circuits (Ry gates, a noise
 pass after each): on one qubit every gate and channel is a closed-form map of
 the Bloch vector, so a whole batch of circuits evolves as numpy arrays and only
-the final states are validated. `circuit_p1` is every circuit's P(read 1). The
-step-validated `apply_unitary` / `apply_channel` chain is the oracle the engine
-is tested against, and it carries the per-round noise deviation (`qagg`).
+the final states are validated. `circuit_p1` is every circuit's P(read 1), and
+`qagg.noise_deviation` reads the per-round noise deviation off the same Bloch
+vectors.
+
+The dense chain is only an oracle: 2x2 density matrices and Kraus channels,
+validated against the standard invariants (Hermitian, unit trace, PSD, channel
+completeness), and the step-validated `apply_unitary` / `apply_channel`.
+`nrqfl validate` and the tests check the engine against it. All operations
+are pure functions of their inputs; the only stateful object is the caller's
+RNG stream.
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ class NoiseModel:
     def depol_factor(self) -> float:
         """Bloch-vector shrink factor 1 - 4p/3 of one depolarizing pass."""
         return 1.0 - 4.0 * self.p_depol / 3.0
-
-    @property
-    def is_noiseless(self) -> bool:
-        return self.p_depol == self.p_deph == self.gamma == self.readout_flip == 0.0
 
     def gate_channels(self) -> list:
         """Channels applied after each gate, in fixed order."""
@@ -244,12 +242,6 @@ def expectation(state: DensityMatrix, m: Observable) -> float:
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag}")
     return float(val.real)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho, sigma) = (1/2) sum |eigenvalues of rho - sigma|."""
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.sum(np.abs(eigs)))
 
 
 def prob_one(state: DensityMatrix) -> float:

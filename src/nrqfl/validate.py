@@ -2,14 +2,16 @@
 
 Each check returns a CheckResult; the CLI prints one pass/fail line per check
 and exits non-zero if any fails. The suite covers channel CPTP properties,
-the encoding round trip, the three aggregation theorems, mitigation efficacy,
-and selection fairness, at sizes that keep the whole run around a minute.
+the Bloch engine the simulator runs against the Kraus chain (its oracle), the
+encoding round trip, the three aggregation theorems, mitigation efficacy, and
+selection fairness, at sizes that keep the whole run to a few seconds.
 The acceptance suite calls the same checks at its own seeds and sizes, which
 is why the randomized checks take those as parameters.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,15 +24,20 @@ from .qcore import (
     KrausChannel,
     NoiseModel,
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Z_OBSERVABLE,
     amplitude_damping_channel,
     apply_channel,
+    apply_unitary,
+    circuit_bloch,
     dephasing_channel,
     depolarizing_channel,
     expectation,
     make_pure_state,
     prob_one,
     random_density_matrix,
+    ry,
     sample_measurement,
 )
 
@@ -118,6 +125,33 @@ def check_dephasing_fixed_points() -> CheckResult:
     return CheckResult("dephasing_fixed_points", worst < 1e-12, f"worst drift {worst:.2e}")
 
 
+def _kraus_chain(state: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
+    """The dense oracle of one gate-noise pass: `noise`'s Kraus channels in order."""
+    for ch in noise.gate_channels():
+        state = apply_channel(state, ch)
+    return state
+
+
+def check_bloch_engine_matches_kraus() -> CheckResult:
+    # Both maps are affine on the Bloch vector, so agreement at Ry(theta)|0> for
+    # theta = 0, pi/2, pi is agreement on the whole xz-plane; a zero y component
+    # shows that plane is invariant. The Kraus sets are completeness-checked, so
+    # matching them makes the engine's map CPTP too.
+    grid = np.linspace(0.0, 1.0, 21)
+    models = [NoiseModel(**{name: float(p)}) for name in ("p_depol", "p_deph", "gamma") for p in grid]
+    models += [NoiseModel(*ps) for ps in itertools.product((0.0, 0.3, 1.0), repeat=3)]
+    zero = make_pure_state([1.0, 0.0])
+    worst = 0.0
+    for noise in models:
+        for theta in (0.0, HALF_PI, math.pi):
+            m = _kraus_chain(apply_unitary(zero, ry(theta)), noise).matrix
+            x, y, z = (float(np.trace(pauli @ m).real) for pauli in (PAULI_X, PAULI_Y, PAULI_Z))
+            ex, ez = circuit_bloch([theta], noise)
+            worst = max(worst, abs(x - float(ex)), abs(y), abs(z - float(ez)))
+    return CheckResult("bloch_engine_matches_kraus", worst < 1e-12,
+                       f"{len(models)} noise models x 3 angles, worst |Kraus - engine| {worst:.2e}")
+
+
 def check_sampling_consistency() -> CheckResult:
     rng = np.random.default_rng(15)
     failures, total = 0, 0
@@ -155,20 +189,19 @@ def check_theorem1_linearity(seed: int = 16, sets: int = 300) -> CheckResult:
 
 
 def check_theorem1_noise_bound() -> CheckResult:
-    # analytic case: dephasing p on |+> has D(rho, E(rho)) = p
+    # analytic case: dephasing p on |+> (angle pi/4) has D(rho, E(rho)) = p
     worst = 0.0
-    plus = make_pure_state([1 / math.sqrt(2), 1 / math.sqrt(2)])
     for p in (0.0, 0.05, 0.1, 0.3, 0.5):
-        worst = max(worst, abs(qagg.noise_deviation(plus, dephasing_channel(p)) - p))
-    # independent oracle: trace distance via singular values
+        worst = max(worst, abs(qagg.noise_deviation(math.pi / 4, NoiseModel(p_deph=p)) - p))
+    # independent oracle: trace distance of the Kraus chain's output via singular values
     rng = np.random.default_rng(17)
     for _ in range(50):
-        rho = random_density_matrix(rng, pure=bool(rng.integers(2)))
-        ch = depolarizing_channel(float(rng.uniform(0, 0.5)))
-        reported = qagg.noise_deviation(rho, ch)
-        diff = rho.matrix - apply_channel(rho, ch).matrix
+        angle = float(rng.uniform(0.0, HALF_PI))
+        noise = NoiseModel(*rng.uniform(0.0, 0.5, size=3))
+        rho = encode(angle)
+        diff = rho.matrix - _kraus_chain(rho, noise).matrix
         oracle = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
-        worst = max(worst, abs(reported - oracle))
+        worst = max(worst, abs(qagg.noise_deviation(angle, noise) - oracle))
     return CheckResult("theorem1_noise_bound", worst < 1e-9, f"worst deviation from oracle {worst:.2e}")
 
 
@@ -268,6 +301,7 @@ ALL_CHECKS = (
     check_psd_preservation,
     check_depolarizing_contraction,
     check_dephasing_fixed_points,
+    check_bloch_engine_matches_kraus,
     check_sampling_consistency,
     check_encode_roundtrip,
     check_theorem1_linearity,

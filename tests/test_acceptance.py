@@ -22,9 +22,7 @@ from nrqfl.qcore import (
     NoiseModel,
     apply_channel,
     compose_channels,
-    dephasing_channel,
     identity_channel,
-    make_pure_state,
 )
 
 DEFAULT_NOISE = NoiseModel(p_depol=0.05, gamma=0.03)
@@ -64,10 +62,9 @@ def test_criterion_3_theorem1_linearity():
 
 
 def test_criterion_4_theorem1_noise_bound():
-    # analytic case: dephasing p on |+> gives exactly p
-    plus = make_pure_state([1 / math.sqrt(2), 1 / math.sqrt(2)])
+    # analytic case: dephasing p on |+> (angle pi/4) gives exactly p
     worst_analytic = max(
-        abs(qagg.noise_deviation(plus, dephasing_channel(p)) - p) for p in (0.01, 0.05, 0.1, 0.3)
+        abs(qagg.noise_deviation(math.pi / 4, NoiseModel(p_deph=p)) - p) for p in (0.01, 0.05, 0.1, 0.3)
     )
     # per-round reported epsilon vs an independent SVD eigensolve oracle
     cfg = ExperimentConfig(rounds=5, samples_per_client=100, test_samples=200)

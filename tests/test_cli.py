@@ -27,7 +27,7 @@ from nrqfl.config import (
     parse_config,
 )
 from nrqfl.encode import angle_to_z
-from nrqfl.qcore import NoiseModel
+from nrqfl.qcore import DensityMatrix, KrausChannel, NoiseModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -283,6 +283,19 @@ class TestCmdRun:
             rows = list(csv.DictReader(fh))
         assert {r["strategy"] for r in rows} == {"fedavg"}
 
+    @pytest.mark.parametrize("extra", [
+        {"rounds": 2},
+        {"rounds": 2, "n_servers": 2, "noise": {"p_depol": 0.03, "p_deph": 0.02, "gamma": 0.02, "readout_flip": 0.01}},
+    ], ids=["three-strategies", "all-noise-two-servers"])
+    def test_run_builds_no_dense_object(self, tmp_path, monkeypatch, extra):
+        # every P(1) and every epsilon comes from the Bloch engine; the dense chain is only an oracle
+        built = []
+        for cls in (DensityMatrix, KrausChannel):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=cls.__post_init__: built.append(type(self).__name__) or init(self))
+        assert main(["run", "--config", str(write_cfg(tmp_path, extra)), "--out", str(tmp_path / "out")]) == 0
+        assert built == []
+
 
 class TestCmdSweep:
     def test_noise_sweep_row_count(self, tmp_path):
@@ -342,11 +355,51 @@ class TestCmdSweep:
         assert key in capsys.readouterr().err
         assert runs == [] and not out.exists()
 
+    def test_zero_rounds_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_cfg(tmp_path, {"rounds": 0})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        runs = []
+        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg, strategy: runs.append(strategy))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots", "--values", "512,1024"])
+        assert code == 2
+        assert "rounds" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("mitigation, relation", [
+        ([], "equal"),
+        (["channel_inversion"], "greater"),
+    ], ids=["none", "channel-inversion"])
+    def test_nrqfl_variance_goes_through_its_mitigation(self, tmp_path, mitigation, relation):
+        # unmitigated, nrqfl's estimator is qfl's; inverting the channel amplifies its shot noise
+        cfg_path = write_cfg(tmp_path, {"strategies": ["qfl", "nrqfl"], "rounds": 1, "mitigation": mitigation})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots",
+                     "--values", "512,2048"]) == 0
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for qfl, nrqfl in zip(rows[::2], rows[1::2]):
+            assert (qfl["strategy"], nrqfl["strategy"]) == ("qfl", "nrqfl")
+            if relation == "equal":
+                assert nrqfl["empirical_variance"] == qfl["empirical_variance"]
+            else:
+                assert float(nrqfl["empirical_variance"]) > float(qfl["empirical_variance"])
+
+    def test_unmitigated_sweep_needs_no_calibration(self, tmp_path):
+        # nothing calibrates, so a readout flip of 1/2 is a valid nrqfl sweep
+        cfg_path = write_cfg(tmp_path, {"strategies": ["nrqfl"], "rounds": 1, "mitigation": [],
+                                        "noise": {"readout_flip": 0.5}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots",
+                     "--values", "512,1024"]) == 0
+        with (out / "sweep.csv").open() as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+
 
 class TestCmdValidate:
     def test_negative_control_fails(self, capsys):
         assert main(["validate", "--inject-broken-channel"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("[PASS]") for line in lines) == 14
+        assert sum(line.startswith("[PASS]") for line in lines) == 15
         assert [line.split(":")[0] for line in lines if line.startswith("[FAIL]")] == [
             "[FAIL] injected_broken_channel_cptp"]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrqfl import flsim, qagg, qselect
+from nrqfl import flsim, qselect
 from nrqfl.config import ExperimentConfig
 from nrqfl.encode import bounds_from_values, encode, normalize
-from nrqfl.qcore import NoiseModel, compose_channels, identity_channel
+from nrqfl.qcore import NoiseModel, apply_channel, compose_channels, identity_channel
 
 FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
 
@@ -238,9 +238,11 @@ class TestRunExperiment:
         for ch in noise.gate_channels():
             channel = compose_channels(channel, ch)
         mean_angle = float(np.mean([normalize(float(v), b) for v, b in zip(updates.mean(axis=0), bounds)]))
-        for _ in range(2):  # the second call reuses the memoized channel
-            assert flsim._round_epsilon(noise, updates, bounds) == (
-                qagg.noise_deviation(encode(mean_angle), channel), mean_angle)
+        rho = encode(mean_angle)
+        oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - apply_channel(rho, channel).matrix)))
+        eps, angle = flsim._round_epsilon(noise, updates, bounds)
+        assert angle == mean_angle
+        assert abs(eps - oracle) <= 1e-15
 
     def test_selection_subset_size(self):
         recs = flsim.run_experiment(fast_cfg(rounds=3, selection_m=3), "fedavg")

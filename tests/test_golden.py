@@ -31,12 +31,12 @@ GOLDEN = {
     "criterion-10": (
         {"rounds": 8, "seed": 13, "samples_per_client": 100, "test_samples": 200},
         ("5b7c6e82909e1a8c9db53540d764714fb0e7ef7de2b38e7ef962b2b842dbb1bb",
-         "8910f610d5dd81998386cf25f887e40c2cfee472cb05e3202e33dd5f96b93fbd"),
+         "3f727e7ff06ece9b524d937f55ca345b4d91732a53eb7bde93ce44f9d5fa9505"),
     ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
-         "5062f61096fc9e27c4574b876e774e0d7611fe76851bf1a4e34acc1a49d6d82a"),
+         "252b9fa8316dc29e01e9d005698bac8c910dee8d6c02e38ffde44016c2eb412e"),
     ),
 }
 

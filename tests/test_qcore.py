@@ -30,7 +30,6 @@ from nrqfl.qcore import (
     readout_p1,
     ry,
     sample_measurement,
-    trace_distance,
 )
 
 SQ2 = 1 / math.sqrt(2)
@@ -207,28 +206,6 @@ class TestExpectation:
             Observable(np.eye(4))
         with pytest.raises(ValueError, match="2x2"):
             KrausChannel((np.eye(4),))
-
-
-class TestTraceDistance:
-    def test_self_distance(self):
-        rho = random_density_matrix(np.random.default_rng(3))
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
-
-    def test_orthogonal_pure_states(self):
-        assert trace_distance(make_pure_state([1, 0]), make_pure_state([0, 1])) == pytest.approx(1.0)
-
-    def test_dephased_plus(self):
-        # eigensolve oracle: off-diagonal perturbation of size p has D = p
-        p = 0.1
-        out = apply_channel(plus_state(), dephasing_channel(p))
-        assert trace_distance(plus_state(), out) == pytest.approx(p, abs=1e-12)
-
-    def test_matches_svd_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a, b = random_density_matrix(rng), random_density_matrix(rng)
-            oracle = 0.5 * np.sum(np.linalg.svd(a.matrix - b.matrix, compute_uv=False))
-            assert trace_distance(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestSampleMeasurement:
