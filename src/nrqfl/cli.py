@@ -15,6 +15,7 @@ import numpy as np
 
 from . import flsim, qagg, validate
 from .config import ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
+from .encode import HALF_PI, WeightBounds
 
 CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
 
@@ -90,18 +91,22 @@ SWEEP_HEADER = ["axis", "value", "strategy", "final_accuracy", "final_f1", "mean
 
 
 def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
-    """Estimate-per-round variance at this configuration's depth and shot count.
+    """Variance of the per-parameter estimate `strategy` runs, at this depth and shot count.
 
-    nrqfl's estimate goes through the mitigation its runs apply (`cfg.mitigation`).
+    One `replicated_aggregate` call, as the strategy's rounds make it, over
+    300 parameters that each hold the same depth-`depth` circuit: every
+    parameter draws its own shots, so each is one independent estimate after
+    the repeats, mitigation and server median the strategy applies.
     """
     if strategy == "fedavg":
         return 0.0
-    rng = np.random.default_rng([cfg.seed, 0x5E])
-    angles = np.linspace(0.3, 0.9, depth)
-    plan = qagg.build_plan(angles)
-    if strategy == "nrqfl":
-        return qagg.empirical_mitigated_variance(plan, cfg.noise, cfg.shots, 300, rng, cfg.mitigation)
-    return qagg.empirical_variance(plan, cfg.noise, cfg.shots, 300, rng)
+    trials = 300
+    angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)
+    result = qagg.replicated_aggregate(
+        angles, [WeightBounds(0.0, HALF_PI)] * trials, flsim.aggregation_config(cfg, strategy),
+        cfg.noise, cfg.n_servers, seed_key=(cfg.seed, 0x5E),
+    )
+    return float(np.var(result.vector, ddof=1))
 
 
 def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:

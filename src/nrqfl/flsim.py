@@ -122,7 +122,41 @@ def make_partition(
 def _logits(weights: np.ndarray, x: np.ndarray, classes: int) -> np.ndarray:
     """x @ W + b for flat weights (..., (f+1)*c) and features (..., n, f)."""
     w = weights.reshape(weights.shape[:-1] + (x.shape[-1] + 1, classes))
-    return x @ w[..., :-1, :] + w[..., -1:, :]
+    z = x @ w[..., :-1, :]
+    z += w[..., -1:, :]
+    return z
+
+
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last (class) axis of the C-ordered logits `z`, in place.
+
+    Bit-identical to exp(z - z.max(-1)) / exp(...).sum(-1): see `local_train`.
+    """
+    cols = [z[..., k] for k in range(z.shape[-1])]
+    top = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(top, col, out=top)
+    for col in cols:
+        np.subtract(col, top, out=col)
+    np.exp(z, out=z)
+    if len(cols) < 8:
+        total = cols[0].copy()
+        for col in cols[1:]:
+            total += col
+    else:
+        total = z.sum(axis=-1)
+    for col in cols:
+        col /= total
+    return z
+
+
+def _delta_grad(probs: np.ndarray, onehot: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat cross-entropy gradient rows from softmax `probs`, which become the deltas in place."""
+    n, f = x.shape[-2:]
+    probs -= onehot
+    probs /= n
+    grad = np.concatenate([np.swapaxes(x, -1, -2) @ probs, probs.sum(axis=-2, keepdims=True)], axis=-2)
+    return grad.reshape(grad.shape[:-2] + ((f + 1) * probs.shape[-1],))
 
 
 def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
@@ -132,14 +166,9 @@ def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: in
     its own weight row in `weights` (..., p) or sharing one flat vector. The
     loss has the leading shape and the gradient one row per client.
     """
-    n, f = x.shape[-2:]
-    z = _logits(weights, x, classes)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = _softmax_inplace(_logits(weights, x, classes))
     loss = -np.mean(np.log(np.take_along_axis(probs, y[..., None], axis=-1)[..., 0] + 1e-300), axis=-1)
-    delta = (probs - (y[..., None] == np.arange(classes))) / n
-    grad = np.concatenate([np.swapaxes(x, -1, -2) @ delta, delta.sum(axis=-2, keepdims=True)], axis=-2)
-    return loss, grad.reshape(grad.shape[:-2] + ((f + 1) * classes,))
+    return loss, _delta_grad(probs, y[..., None] == np.arange(classes), x)
 
 
 def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int, epochs: int, lr: float) -> np.ndarray:
@@ -149,14 +178,24 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
     trains from the same `weights` and the result has one weight row per client.
     """
     # a C-ordered copy per client: the memory layout picks numpy's matmul path,
-    # and this one gives each client the bits of a lone 2-D call
+    # and this one gives each client the bits of a lone 2-D call.
+    # The softmax (`_softmax_inplace`) works on class columns: a reduction
+    # along the 3-4-wide class axis costs numpy one inner-loop call per
+    # sample, a column op one call per class. A max is exact in any order;
+    # below 8 classes numpy sums a row left to right, so adding the columns in
+    # that order keeps its bits, and from 8 up, where numpy sums pairwise, the
+    # row sum stays. Every (..., n, c) temporary is written into the logits
+    # buffer, so no second copy adds to peak memory. A loss is finite exactly
+    # when every prob is, so only the probs are checked.
     w = np.broadcast_to(np.asarray(weights, dtype=float), x.shape[:-2] + np.shape(weights)).copy()
+    onehot = y[..., None] == np.arange(classes)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
         for _ in range(epochs):
-            loss, grad = loss_and_grad(w, x, y, classes)
-            if not np.all(np.isfinite(loss)):
+            probs = _softmax_inplace(_logits(w, x, classes))
+            if not np.all(np.isfinite(probs)):
+                loss = loss_and_grad(w, x, y, classes)[0]
                 raise ValueError(f"training loss diverged (loss={np.max(loss)}); reduce the learning rate")
-            w -= lr * grad
+            w -= lr * _delta_grad(probs, onehot, x)
             if not np.all(np.isfinite(w)):
                 raise ValueError("training weights diverged; reduce the learning rate")
     return w
@@ -176,14 +215,13 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
     if len(x) == 0:
         raise ValueError("empty test set")
     pred = np.argmax(_logits(np.asarray(weights, dtype=float), x, classes), axis=1)
-    acc = float(np.mean(pred == y))
-    f1s = []
-    for c in range(classes):
-        tp = np.sum((pred == c) & (y == c))
-        fp = np.sum((pred == c) & (y != c))
-        fn = np.sum((pred != c) & (y == c))
-        f1s.append(0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn))
-    return acc, float(np.mean(f1s))
+    confusion = np.bincount(y * classes + pred, minlength=classes**2).reshape(classes, classes)
+    tp = np.diag(confusion)
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    # tp == 0 scores 0, and the floor only keeps an absent class's 0/0 away
+    f1s = 2 * tp / np.maximum(2 * tp + fp + fn, 1)
+    return float(tp.sum() / len(y)), float(np.mean(f1s))
 
 
 def _grad_variance(updates: np.ndarray) -> float:
@@ -198,7 +236,8 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds) -> tuple:
     return qagg.noise_deviation(mean_angle, noise), mean_angle
 
 
-def _aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
+def aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
+    """The aggregation knobs a quantum strategy's rounds run with."""
     mitigation = frozenset(cfg.mitigation) if strategy == "nrqfl" else frozenset()
     repeats = cfg.repeats if strategy == "nrqfl" else 1
     return qagg.AggregationConfig(
@@ -248,7 +287,7 @@ def run_round(
             bounds = [WeightBounds(-b, b)] * p
         else:
             bounds = [bounds_from_values(updates[:, j]) for j in range(p)]
-        acfg = _aggregation_config(cfg, strategy)
+        acfg = aggregation_config(cfg, strategy)
         result = qagg.replicated_aggregate(
             updates, bounds, acfg, cfg.noise, cfg.n_servers,
             seed_key=(cfg.seed, STRATEGIES.index(strategy), round_index),

@@ -26,7 +26,7 @@ from nrqfl.config import (
     group_sizes,
     parse_config,
 )
-from nrqfl.encode import angle_to_z
+from nrqfl.encode import HALF_PI, WeightBounds, angle_to_z
 from nrqfl.qcore import DensityMatrix, KrausChannel, NoiseModel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -323,6 +323,20 @@ class TestCmdSweep:
             rows = list(csv.DictReader(fh))
         variances = [float(r["empirical_variance"]) for r in rows]
         assert variances == sorted(variances)
+
+    @pytest.mark.parametrize("strategy, n_servers", [("nrqfl", 1), ("nrqfl", 3), ("qfl", 3)])
+    def test_variance_column_is_the_run_estimator(self, strategy, n_servers):
+        # nrqfl averages `repeats` shot draws before mitigating; every quantum strategy takes the server median
+        cfg = ExperimentConfig(n_servers=n_servers)
+        if strategy == "nrqfl":
+            acfg = qagg.AggregationConfig(shots=cfg.shots, repeats=cfg.repeats, mitigation=cfg.mitigation)
+        else:
+            acfg = qagg.AggregationConfig(shots=cfg.shots)
+        depth, trials = 5, 2000
+        angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)
+        estimates = qagg.replicated_aggregate(angles, [WeightBounds(0.0, HALF_PI)] * trials, acfg, cfg.noise,
+                                              n_servers, seed_key=(17,)).vector
+        assert cli._sweep_variance(cfg, strategy, depth) == pytest.approx(np.var(estimates, ddof=1), rel=0.25)
 
     def test_depth_sweep_uses_deepest_group(self, tmp_path, monkeypatch):
         # more than 9 clients are split into near-even groups: 10 -> 5+5, ..., 16 -> 8+8

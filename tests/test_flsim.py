@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,13 @@ from nrqfl.encode import bounds_from_values, encode, normalize
 from nrqfl.qcore import NoiseModel, apply_channel, compose_channels, identity_channel
 
 FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
+WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate"
+LOSS_DIVERGED = "training loss diverged (loss=nan); reduce the learning rate"
+
+
+def exactly(message):
+    """A `pytest.raises` pattern that matches `message` and nothing else."""
+    return "^" + re.escape(message) + "$"
 
 
 def fast_cfg(**overrides):
@@ -36,6 +44,18 @@ def reference_local_train(weights, x, y, classes, epochs, lr):
 def reference_train_loop(weights, xs, ys, classes, epochs, lr):
     """The per-client loop: one 2-D training call per client, stacked."""
     return np.stack([reference_local_train(weights, x, y, classes, epochs, lr) for x, y in zip(xs, ys)])
+
+
+def reference_evaluate(weights, x, y, classes):
+    """(accuracy, macro F1) from per-class masked counts (the oracle for the confusion count)."""
+    pred = np.argmax(x @ weights.reshape(-1, classes)[:-1] + weights.reshape(-1, classes)[-1], axis=1)
+    f1s = []
+    for c in range(classes):
+        tp = np.sum((pred == c) & (y == c))
+        fp = np.sum((pred == c) & (y != c))
+        fn = np.sum((pred != c) & (y == c))
+        f1s.append(0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn))
+    return float(np.mean(pred == y)), float(np.mean(f1s))
 
 
 def unequal_partition(sizes=(300, 120, 300, 7, 120, 1), seed=4):
@@ -117,18 +137,28 @@ class TestLocalTrain:
 
     def test_divergence_surfaces(self):
         x, y = self.part.client_features[0], self.part.client_labels[0]
-        with pytest.raises(ValueError, match="diverged"):
+        with pytest.raises(ValueError, match=exactly(WEIGHTS_DIVERGED)):
             flsim.local_train(np.zeros(self.p), x * 1e200, y, 3, 5, 1e200)
 
     def test_divergence_surfaces_in_a_batch(self):
         # one diverging client among well-behaved ones still fails the whole pass
         xs = np.stack(self.part.client_features)
         xs[1] *= 1e200
-        with pytest.raises(ValueError, match="diverged"):
+        with pytest.raises(ValueError, match=exactly(WEIGHTS_DIVERGED)):
             flsim.local_train(np.zeros(self.p), xs, np.stack(self.part.client_labels), 3, 5, 1e200)
 
-    @pytest.mark.parametrize("f, c", [(2, 2), (4, 3), (8, 6)])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_overflowing_logits_surface_as_loss_divergence(self, batched):
+        # logits of +-inf make every prob of their row nan, so the loss is nan
+        x, y = self.part.client_features[0], self.part.client_labels[0]
+        if batched:
+            x, y = np.stack(self.part.client_features), np.stack(self.part.client_labels)
+        with pytest.raises(ValueError, match=exactly(LOSS_DIVERGED)):
+            flsim.local_train(np.full(self.p, 1e308), 10.0 * x, y, 3, 5, 0.1)
+
+    @pytest.mark.parametrize("f, c", [(2, 2), (4, 3), (8, 6), (3, 7), (2, 8), (4, 9), (3, 16)])
     def test_batch_equals_per_client_loop(self, f, c):
+        # below 8 classes the softmax adds class columns, from 8 up it keeps numpy's pairwise row sum
         for n, m, epochs in itertools.product((1, 2, 7, 200), (1, 3, 5), (1, 5)):
             rng = np.random.default_rng([f, c, n, m, epochs])
             xs = 2.0 * rng.normal(size=(m, n, f))
@@ -138,6 +168,16 @@ class TestLocalTrain:
             assert np.array_equal(flsim.local_train(w0, xs, ys, c, epochs, 0.1), expected), (n, m, epochs)
             assert np.array_equal(flsim.local_train(w0, xs[0], ys[0], c, epochs, 0.1), expected[0])
 
+    @pytest.mark.parametrize("c", [4, 9])
+    def test_batch_past_numpy_buffer_equals_per_client_loop(self, c):
+        # 10 clients x 1000 samples x c classes: more than numpy's 8192-element buffer
+        rng = np.random.default_rng([10, 1000, c])
+        xs = 2.0 * rng.normal(size=(10, 1000, 4))
+        ys = rng.integers(0, c, size=(10, 1000))
+        w0 = 0.3 * rng.normal(size=5 * c)
+        expected = reference_train_loop(w0, xs, ys, c, 5, 0.1)
+        assert np.array_equal(flsim.local_train(w0, xs, ys, c, 5, 0.1), expected)
+
     def test_batched_loss_and_grad_rows(self):
         xs = np.stack(self.part.client_features)
         ys = np.stack(self.part.client_labels)
@@ -146,6 +186,18 @@ class TestLocalTrain:
         assert loss.shape == (3,) and grad.shape == (3, self.p)
         for i in range(3):
             loss_i, grad_i = flsim.loss_and_grad(w[i], xs[i], ys[i], 3)
+            assert loss[i] == loss_i
+            assert np.array_equal(grad[i], grad_i)
+
+    @pytest.mark.parametrize("c", [7, 9])
+    def test_batched_loss_and_grad_rows_either_side_of_8_classes(self, c):
+        rng = np.random.default_rng(c)
+        xs = 2.0 * rng.normal(size=(4, 50, 3))
+        ys = rng.integers(0, c, size=(4, 50))
+        w = 0.5 * rng.normal(size=(4, 4 * c))
+        loss, grad = flsim.loss_and_grad(w, xs, ys, c)
+        for i in range(4):
+            loss_i, grad_i = flsim.loss_and_grad(w[i], xs[i], ys[i], c)
             assert loss[i] == loss_i
             assert np.array_equal(grad[i], grad_i)
 
@@ -184,6 +236,19 @@ class TestEvaluate:
         acc, f1 = flsim.evaluate(w, x, y, 3)
         assert acc == pytest.approx(1 / 3)
         assert f1 == pytest.approx(0.5 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("classes, labels, never_predicted", [
+        (2, 2, None), (9, 9, None), (4, 3, None), (4, 4, 2), (5, 3, 4),
+    ], ids=["c2", "c9", "absent-label", "never-predicted", "absent-label-never-predicted"])
+    def test_confusion_count_equals_per_class_loop(self, classes, labels, never_predicted):
+        for seed in range(5):
+            rng = np.random.default_rng([classes, labels, seed])
+            x = rng.normal(size=(400, 3))
+            y = rng.integers(0, labels, size=400)
+            w = rng.normal(size=4 * classes)
+            if never_predicted is not None:
+                w[3 * classes + never_predicted] = -1e3  # its bias: no sample predicts it
+            assert flsim.evaluate(w, x, y, classes) == reference_evaluate(w, x, y, classes)
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
