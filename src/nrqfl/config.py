@@ -44,6 +44,16 @@ def group_sizes(n: int) -> list:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
+def fused_gates(angles):
+    """Ry gate angles 2*a_k/d of the fused circuits of a (..., d) angle array.
+
+    Ry rotations about one axis add, so the noiseless product of a circuit's d
+    gates prepares the state encoding the mean of its d angles.
+    """
+    angles = np.asarray(angles, dtype=float)
+    return 2.0 * angles / angles.shape[-1]
+
+
 def group_depths(n: int) -> list:
     """The distinct values of group_sizes(n), deepest first, without building that list."""
     _, base, extra = _split(n)
@@ -66,7 +76,7 @@ def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) 
     if len(set(probes)) < 2:
         raise ValueError("need at least two distinct probe angles")
     ideal = [angle_to_z(a) for a in probes]
-    gates = np.repeat(2.0 * np.array(probes)[:, None] / depth, depth, axis=1)
+    gates = fused_gates(np.repeat(np.array(probes)[:, None], depth, axis=1))
     lam_hat, b_hat = (float(v) for v in np.polyfit(ideal, 1.0 - 2.0 * circuit_p1(gates, noise), 1))
     if lam_hat < INVERSION_FLOOR:
         raise ValueError(f"calibration fits a slope of {lam_hat:.3g} < {INVERSION_FLOOR} to depth-{depth} "

@@ -1,9 +1,9 @@
 """Quantum aggregation: circuit planning, noisy execution, and mitigation.
 
-Client angles are fused on a single qubit by composing Ry(2*a_k/N) rotations;
-about a common axis these add, so the noiseless circuit prepares exactly the
-state encoding mean(a). One noise-channel pass per gate defines the circuit
-depth d used by the variance bound. More than 9 clients are split into groups
+Client angles are fused on a single qubit by composing Ry(2*a_k/N) rotations
+(`config.fused_gates`); about a common axis these add, so the noiseless
+circuit prepares exactly the state encoding mean(a). One noise-channel pass
+per gate defines the circuit depth d used by the variance bound. More than 9 clients are split into groups
 of <= 9 (depth stays below 10) whose results are combined by a size-weighted
 classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
 `aggregate` takes the circuits of all parameters of a group in one call, and
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, fit_calibration, group_sizes
+from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, fit_calibration, fused_gates, group_sizes
 from .encode import HALF_PI, denormalize_array, normalize_array, z_to_angle
 from .qcore import (
     DensityMatrix,
@@ -41,6 +41,9 @@ from .qcore import (
     expectation,
     sample_measurement,
 )
+
+SIGMA_SHOT = 0.5  # per-shot standard deviation in `variance_bound`'s shot term
+SIGMA_GATE_SAFETY = 1.4  # factor on the largest excess variance `fit_sigma_gate` fits
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def build_plan(angles, n_clients: int | None = None) -> CircuitPlan:
     for a in angles:
         if not 0.0 <= a <= HALF_PI + 1e-12:
             raise ValueError(f"angle {a} outside [0, pi/2]")
-    return CircuitPlan(tuple(2.0 * a / n for a in angles), depth=n)
+    return CircuitPlan(tuple(float(g) for g in fused_gates(angles)), depth=n)
 
 
 def simulate_plan(plan: CircuitPlan, noise: NoiseModel) -> DensityMatrix:
@@ -222,7 +225,7 @@ def aggregate(
     group_angles = np.empty((len(sizes), p))
     start = 0
     for g, d in enumerate(sizes):
-        p1 = circuit_p1((2.0 * angles[start:start + d] / d).T, noise)
+        p1 = circuit_p1(fused_gates(angles[start:start + d].T), noise)
         start += d
         if cfg.exact_expectation:
             z = 1.0 - 2.0 * p1
@@ -253,21 +256,9 @@ def replicated_aggregate(
     return AggregateResult(vector=np.median(stacked, axis=0), clip_count=results[0].clip_count)
 
 
-def variance_bound(shots: int, n_clients: int, depth: int, sigma_gate: float, sigma_shot: float = 0.5) -> float:
-    """sigma_shot^2/(N*S) + sigma_gate^2 * d / N."""
-    return sigma_shot**2 / (n_clients * shots) + sigma_gate**2 * depth / n_clients
-
-
-def _sample_ones(plan: CircuitPlan, noise: NoiseModel, shots: int, trials: int, rng: np.random.Generator):
-    """Count of ones in each of `trials` independent `shots`-shot executions.
-
-    The pre-measurement state is deterministic, so only measurement sampling
-    is repeated (vectorized over trials).
-    """
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    p_eff = float(circuit_p1(plan.gates, noise))
-    return rng.binomial(shots, p_eff, size=trials)
+def variance_bound(shots: int, n_clients: int, depth: int, sigma_gate: float) -> float:
+    """SIGMA_SHOT^2/(N*S) + sigma_gate^2 * d / N."""
+    return SIGMA_SHOT**2 / (n_clients * shots) + sigma_gate**2 * depth / n_clients
 
 
 def empirical_variance(
@@ -277,25 +268,15 @@ def empirical_variance(
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    """Sample variance of the raw decoded angle over independent executions."""
-    ones = _sample_ones(plan, noise, shots, trials, rng)
+    """Sample variance of the raw decoded angle over `trials` independent `shots`-shot executions.
+
+    The pre-measurement state is deterministic, so only measurement sampling
+    is repeated (vectorized over trials).
+    """
+    if trials < 2:
+        raise ValueError("need at least two trials")
+    ones = rng.binomial(shots, float(circuit_p1(plan.gates, noise)), size=trials)
     angles = np.arcsin(np.sqrt(ones / shots))
-    return float(np.var(angles, ddof=1))
-
-
-def empirical_mitigated_variance(
-    plan: CircuitPlan,
-    noise: NoiseModel,
-    shots: int,
-    trials: int,
-    rng: np.random.Generator,
-    mitigation=frozenset({"calibration"}),
-) -> float:
-    """Sample variance of the estimate mitigated as `aggregate` mitigates it under
-    `mitigation`; calibrated, it grows with depth because the inverse transfer
-    amplifies shot noise by 1/lam_hat."""
-    ones = _sample_ones(plan, noise, shots, trials, rng)
-    angles = z_to_angle(_mitigate_z(1.0 - 2.0 * ones / shots, mitigation, noise, plan.depth))
     return float(np.var(angles, ddof=1))
 
 
@@ -305,14 +286,12 @@ def fit_sigma_gate(
     shot_grid=(256, 1024, 4096, 16384, 65536),
     depths=range(1, MAX_GROUP + 1),
     trials: int = 300,
-    sigma_shot: float = 0.5,
-    safety: float = 1.4,
 ) -> float:
     """Calibrate sigma_gate once so the variance bound holds on a sweep.
 
     The bound is treated as a falsifiable contract: sigma_gate^2 is set to the
     largest excess of empirical variance over the shot term across the grid,
-    times a safety factor.
+    times SIGMA_GATE_SAFETY.
     """
     worst = 0.0
     for d in depths:
@@ -322,8 +301,8 @@ def fit_sigma_gate(
             ev = empirical_variance(plan, noise, s, trials, rng)
             # single-group plans have N = d, so the gate term of the bound is
             # sigma_gate^2 exactly; the excess over the shot term calibrates it
-            worst = max(worst, ev - sigma_shot**2 / (d * s))
-    return math.sqrt(safety * worst) if worst > 0 else 0.0
+            worst = max(worst, ev - SIGMA_SHOT**2 / (d * s))
+    return math.sqrt(SIGMA_GATE_SAFETY * worst) if worst > 0 else 0.0
 
 
 def commutation_check(channel: KrausChannel, m: Observable, state: DensityMatrix):

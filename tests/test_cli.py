@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrqfl import cli, qagg
+from nrqfl import cli, flsim, qagg
 from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import (
     DEFAULT_PROBES,
@@ -307,6 +307,29 @@ class TestCmdSweep:
         with (out / "sweep.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2
+
+    @pytest.mark.parametrize("axis, values, setting", [
+        ("noise", (0.0, 0.05), lambda v: {"noise": NoiseModel(p_depol=v, gamma=0.03)}),
+        ("shots", (512, 2048), lambda v: {"shots": v}),
+    ], ids=["noise", "shots"])
+    def test_rows_are_the_runs_they_name(self, tmp_path, axis, values, setting):
+        # the axis sets one config key and nothing else, so a row is one `run_experiment` of that config
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rounds": 3, "strategies": ["qfl", "nrqfl"]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out", str(out), "--axis", axis,
+                     "--values", ",".join(str(v) for v in values)]) == 0
+        with (out / "sweep.csv").open() as fh:
+            rows = [(r["final_accuracy"], r["final_f1"], r["mean_agg_error"], r["bytes_total"])
+                    for r in csv.DictReader(fh)]
+        expected = []
+        for v in values:
+            for strategy in ("qfl", "nrqfl"):
+                records = flsim.run_experiment(ExperimentConfig(seed=1, rounds=3, **setting(v)), strategy)
+                expected.append((cli._fmt(records[-1].accuracy), cli._fmt(records[-1].f1),
+                                 cli._fmt(float(np.mean([r.agg_error for r in records]))),
+                                 str(sum(r.bytes_up + r.bytes_down for r in records))))
+        assert rows == expected
 
     def test_single_value_rejected(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

@@ -286,7 +286,7 @@ class TestReplicatedAggregate:
 
 class TestVarianceBound:
     def test_direct_formula(self):
-        bound = qagg.variance_bound(1024, 5, 5, 0.02, sigma_shot=0.5)
+        bound = qagg.variance_bound(1024, 5, 5, 0.02)
         assert bound == pytest.approx(0.25 / 5120 + 4e-4 * 5 / 5, abs=1e-12)
 
     def test_noiseless_limit(self):
@@ -305,13 +305,14 @@ class TestEmpiricalVariance:
         assert 0.7 * 4 <= v1 / v4 <= 1.3 * 4
 
     def test_mitigated_variance_grows_with_depth(self):
-        # the inverse transfer amplifies shot noise by 1/lam^d
-        rng = np.random.default_rng(11)
+        # the inverse transfer amplifies shot noise by 1/lam^d; each parameter is one independent estimate
+        cfg = qagg.AggregationConfig(shots=2000, mitigation={"calibration"})
         noise = NoiseModel(p_depol=0.05, gamma=0.03)
+        trials = 2000
         variances = []
         for d in (1, 3, 5, 7, 9):
-            plan = qagg.build_plan([0.6] * d)
-            variances.append(qagg.empirical_mitigated_variance(plan, noise, 2000, 2000, rng))
+            result = qagg.aggregate(np.full((d, trials), 0.6), [WeightBounds(0.0, HALF_PI)] * trials, cfg, noise)
+            variances.append(np.var(result.vector, ddof=1))
         assert all(a < b for a, b in zip(variances, variances[1:]))
 
     def test_rejects_single_trial(self):
