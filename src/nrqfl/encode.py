@@ -79,14 +79,19 @@ def angle_to_z(angle: float) -> float:
     return math.cos(2.0 * angle)
 
 
-def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds:
-    """Min/max bounds over client values, padded so degenerate spans stay valid."""
+def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds | list:
+    """Min/max bounds over client values, padded so degenerate spans stay valid.
+
+    1-D values give one WeightBounds; an N x P array gives a list of P, one
+    per column.
+    """
     arr = np.asarray(values, dtype=float)
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi - lo < pad:
-        span = max(pad, abs(lo) * 1e-9)
-        lo, hi = lo - span, hi + span
-    return WeightBounds(lo, hi)
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    narrow = hi - lo < pad
+    span = np.maximum(pad, np.abs(lo) * 1e-9)
+    lo, hi = np.where(narrow, lo - span, lo), np.where(narrow, hi + span, hi)
+    bounds = [WeightBounds(a, b) for a, b in zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist())]
+    return bounds if arr.ndim == 2 else bounds[0]
 
 
 def _check_angle(angle) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +45,10 @@ from .qcore import (
 
 SIGMA_SHOT = 0.5  # per-shot standard deviation in `variance_bound`'s shot term
 SIGMA_GATE_SAFETY = 1.4  # factor on the largest excess variance `fit_sigma_gate` fits
+_WORD = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+_OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]  # pool words each word mixes into
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,8 @@ class CircuitPlan:
         if self.depth != len(self.gates):
             raise ValueError("depth must equal the gate count")
         if not 1 <= self.depth <= MAX_GROUP:
-            raise ValueError(f"circuit depth must be in 1..{MAX_GROUP}, got {self.depth}")
+            raise ValueError(f"circuit depth must be in 1..{MAX_GROUP}, got {self.depth}; "
+                             "more clients split into groups")
 
 
 @dataclass(frozen=True)
@@ -112,20 +118,15 @@ class AggregateResult:
     clip_count: int
 
 
-def build_plan(angles, n_clients: int | None = None) -> CircuitPlan:
+def build_plan(angles) -> CircuitPlan:
     """Sequential Ry(2*a_k/N) gates whose noiseless product encodes mean(a)."""
     angles = tuple(float(a) for a in angles)
-    n = len(angles) if n_clients is None else n_clients
-    if n != len(angles):
-        raise ValueError(f"expected {n} angles, got {len(angles)}")
-    if n == 0:
+    if not angles:
         raise ValueError("cannot aggregate an empty client set")
-    if n > MAX_GROUP:
-        raise ValueError(f"more than {MAX_GROUP} clients per circuit violates the depth bound; split into groups")
     for a in angles:
         if not 0.0 <= a <= HALF_PI + 1e-12:
             raise ValueError(f"angle {a} outside [0, pi/2]")
-    return CircuitPlan(tuple(float(g) for g in fused_gates(angles)), depth=n)
+    return CircuitPlan(tuple(float(g) for g in fused_gates(angles)), depth=len(angles))
 
 
 def simulate_plan(plan: CircuitPlan, noise: NoiseModel) -> DensityMatrix:
@@ -177,9 +178,87 @@ def _default_transfer(noise: NoiseModel, depth: int) -> TransferFunction:
     return calibrate(noise, depth)
 
 
-def _rng_for(seed_key, *suffix) -> np.random.Generator:
-    key = tuple(int(k) for k in tuple(seed_key) + suffix)
-    return np.random.default_rng(np.random.SeedSequence(key))
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's n + 1 hash constants init * mult**k mod 2**32, as a read-only uint32 column."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _WORD)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _seed_pools(seed_key, suffixes) -> np.ndarray:
+    """`SeedSequence((*seed_key, *row)).pool` of each row of the K x m `suffixes`, as a K x 4 uint32 array.
+
+    numpy's pool mixing (NEP 19 keeps it stable) run as uint32 array ops
+    across all rows: each key part splits into little-endian 32-bit words,
+    and the hash constants do not depend on the data. Suffix parts must fit
+    in one word.
+    """
+    prefix = []
+    for part in seed_key:
+        part = int(part)
+        if part < 0:
+            raise ValueError(f"seed key parts must be non-negative, got {part}")
+        prefix.append(part & _WORD)
+        while part > _WORD:
+            part >>= 32
+            prefix.append(part & _WORD)
+    rows = np.asarray(suffixes, dtype=np.int64)
+    if rows.size and not 0 <= rows.min() <= rows.max() <= _WORD:
+        raise ValueError("stream suffix parts must be in [0, 2**32)")
+    n_words = len(prefix) + rows.shape[1]
+    entropy = np.zeros((max(n_words, 4), len(rows)), dtype=np.uint32)  # zero words pad a short key to the pool
+    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix):n_words] = rows.T
+    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy)), 0  # numpy's INIT_A, MULT_A
+
+    def hashmix(values, n):  # n hashes of the (broadcast) rows of `values`, each with the next constant
+        nonlocal used
+        h = values ^ consts[used:used + n]
+        h *= consts[used + 1:used + n + 1]
+        used += n
+        h ^= h >> 16
+        return h
+
+    def mix(x, y):  # in place on x; numpy's MIX_MULT_L and MIX_MULT_R
+        x *= np.uint32(0xCA01F9DD)
+        x -= y * np.uint32(0x4973F715)
+        x ^= x >> 16
+        return x
+
+    pool = hashmix(entropy[:4], 4)
+    for src in range(4):
+        dst = _OTHER_WORDS[src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in entropy[4:]:
+        mix(pool, hashmix(word, 4))
+    return pool.T
+
+
+def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
+    """`default_rng(SeedSequence((*seed_key, *row))).binomial(shots, p)` per row of `suffixes` and p, bit for bit.
+
+    The pools become PCG64 seeds as `SeedSequence.generate_state(4, uint64)`
+    does; PCG64's two-step seeding runs in Python ints, and one Generator
+    draws every stream with its bit generator's state set to that stream's.
+    """
+    consts = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # numpy's INIT_B, MULT_B
+    words = (_seed_pools(seed_key, suffixes).T[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:-1]) * consts[1:]
+    words = (words ^ words >> 16).astype(np.uint64)
+    seeds = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    ones = np.empty(len(probs), dtype=np.int64)
+    for i, (s0, s1, s2, s3, p) in enumerate(zip(*seeds, probs)):
+        pcg["inc"] = inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        gen.bit_generator.state = state
+        ones[i] = gen.binomial(shots, p)
+    return ones
 
 
 def _mitigate_z(z, mitigation, noise, depth: int):
@@ -205,7 +284,7 @@ def aggregate(
     clients are combined by that classical mean. Each (parameter, group,
     repeat) draws its shots from its own RNG stream keyed by
     (seed_key, parameter, group, repeat), so results are independent of
-    execution order.
+    execution order; `_shot_draws` derives all of a call's streams at once.
     """
     vectors = np.asarray(client_vectors, dtype=float)
     if vectors.ndim != 2:
@@ -222,19 +301,17 @@ def aggregate(
     angles = normalize_array(vectors, lo, hi)
     repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
     sizes = group_sizes(n)
-    group_angles = np.empty((len(sizes), p))
-    start = 0
-    for g, d in enumerate(sizes):
-        p1 = circuit_p1(fused_gates(angles[start:start + d].T), noise)
-        start += d
-        if cfg.exact_expectation:
-            z = 1.0 - 2.0 * p1
-        else:
-            ones = np.array([[_rng_for(seed_key, j, g, r).binomial(cfg.shots, p1[j]) for r in range(repeats)]
-                             for j in range(p)])
-            z = np.mean(1.0 - 2.0 * (ones / cfg.shots), axis=1)
-        group_angles[g] = z_to_angle(_mitigate_z(z, cfg.mitigation, noise, d))
-    mean_angle = np.average(group_angles, axis=0, weights=sizes)
+    p1 = np.stack([circuit_p1(fused_gates(angles[end - d:end].T), noise) for d, end in zip(sizes, accumulate(sizes))])
+    if cfg.exact_expectation:
+        z = 1.0 - 2.0 * p1
+    else:
+        group, param, rep = np.indices((len(sizes), p, repeats)).reshape(3, -1)
+        keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
+        ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, repeats).tolist())
+        z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, repeats) / cfg.shots)).sum(axis=2) / repeats
+    group_angles = np.stack([z_to_angle(_mitigate_z(z[g], cfg.mitigation, noise, d)) for g, d in enumerate(sizes)])
+    weights = np.asarray(sizes, dtype=float)
+    mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()
     return AggregateResult(vector=denormalize_array(mean_angle, lo, hi), clip_count=clip_count)
 
 

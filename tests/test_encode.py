@@ -94,6 +94,14 @@ class TestWeightBounds:
         b = bounds_from_values([1.0, 3.0, 2.0])
         assert (b.lo, b.hi) == (1.0, 3.0)
 
+    def test_columns_match_one_column_at_a_time(self):
+        values = np.random.default_rng(3).normal(size=(6, 5))
+        values[:, 1] = 2.0  # a degenerate column is padded
+        values[:, 3] = 0.0
+        got = bounds_from_values(values)
+        assert got == [bounds_from_values(values[:, j]) for j in range(5)]
+        assert got[1].lo < 2.0 < got[1].hi
+
     def test_degenerate_values_padded(self):
         b = bounds_from_values([2.0, 2.0])
         assert b.lo < 2.0 < b.hi

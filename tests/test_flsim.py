@@ -213,6 +213,10 @@ class TestFedAvg:
     def test_single_client(self):
         assert np.allclose(flsim.fedavg_aggregate([[5, 6]], [7]), [5, 6])
 
+    def test_sizes_summing_to_zero_raise(self):
+        with pytest.raises(ZeroDivisionError):
+            flsim.fedavg_aggregate([[1, 2], [3, 4]], [0, 0])
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=5), st.integers(1, 100))
     @settings(max_examples=25)
     def test_identical_vectors_fixed_point(self, vec, size):

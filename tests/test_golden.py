@@ -33,6 +33,19 @@ GOLDEN = {
         ("5b7c6e82909e1a8c9db53540d764714fb0e7ef7de2b38e7ef962b2b842dbb1bb",
          "3f727e7ff06ece9b524d937f55ca345b4d91732a53eb7bde93ce44f9d5fa9505"),
     ),
+    # nrqfl with shot-stream seed keys of 4 parts: (seed, strategy, round, server)
+    "nrqfl-3-servers": (
+        {"rounds": 6, "seed": 7, "n_servers": 3, "strategies": ["nrqfl"], "samples_per_client": 100,
+         "test_samples": 200},
+        ("70a4048453b57d4baf623e929efcade35df4855fac2559f0ec18d86a31338fe6",
+         "05aa30d825881e95f23c86e19093a8fffb43bb23eaa19114b63ad2d85b7d501d"),
+    ),
+    # a seed above 2**64 splits into three 32-bit words of every shot-stream key
+    "multi-word-seed": (
+        {"rounds": 6, "seed": 2**64 + 3, "samples_per_client": 100, "test_samples": 200},
+        ("8022ffbe87cbcf43a2f69f5c160258f61ce9565ec1367908586c57376ea0dd63",
+         "16ccf209e8f9dc88d38e9e90eaad62f7e74aff98352155f1477771b30c74852b"),
+    ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",

@@ -25,6 +25,11 @@ def exact_raw(angles, noise):
     return qagg.run_plan(plan, noise, 1, None, exact=True)
 
 
+def rng_for(seed_key, *suffix) -> np.random.Generator:
+    """numpy's own seeding of the shot stream keyed by (seed_key, *suffix): the oracle of `qagg._shot_draws`."""
+    return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in tuple(seed_key) + suffix)))
+
+
 def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
     """`aggregate` as one loop per parameter and group over build_plan + run_plan: the oracle."""
     vectors = np.asarray(client_vectors, dtype=float)
@@ -42,7 +47,7 @@ def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
             if cfg.exact_expectation:
                 z = qagg.run_plan(plan, noise, cfg.shots, None, exact=True).z_raw
             else:
-                z = float(np.mean([qagg.run_plan(plan, noise, cfg.shots, qagg._rng_for(seed_key, j, g_idx, r)).z_raw
+                z = float(np.mean([qagg.run_plan(plan, noise, cfg.shots, rng_for(seed_key, j, g_idx, r)).z_raw
                                    for r in range(repeats)]))
             if "calibration" in cfg.mitigation:
                 z = qagg.calibrate(noise, plan.depth).invert(z)
@@ -224,6 +229,37 @@ class TestAggregateMatchesReferenceLoop:
         runs = [reference_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, seed_key=k) for k in keys]
         assert got.clip_count == runs[0][1]
         assert np.max(np.abs(got.vector - np.median([v for v, _ in runs], axis=0))) <= 1e-12
+
+
+class TestShotStreams:
+    EDGE_PARTS = (0, 2**32 - 1, 2**32, 2**64 + 3)
+
+    def random_part(self, rng):
+        if rng.random() < 0.5:
+            return self.EDGE_PARTS[rng.integers(len(self.EDGE_PARTS))]
+        return int(rng.integers(0, 2**62)) << int(rng.integers(0, 9))  # up to 2**70
+
+    def test_batched_pools_and_draws_match_numpy(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        while checked < 2000:
+            seed_key = tuple(self.random_part(rng) for _ in range(rng.integers(0, 6)))
+            width = int(rng.integers(1, 4))
+            suffixes = rng.integers(0, 2**32 if rng.random() < 0.3 else 12, size=(int(rng.integers(1, 8)), width))
+            shots = int(rng.choice([1, 300, 4096, 2**40, 2**63 - 1]))
+            probs = rng.choice([0.0, 1e-12, 0.2, 0.5, 0.8, 1.0], size=len(suffixes)).tolist()
+            pools = qagg._seed_pools(seed_key, suffixes)
+            draws = qagg._shot_draws(seed_key, suffixes, shots, probs)
+            for row, pool, ones, p in zip(suffixes.tolist(), pools, draws, probs):
+                assert np.array_equal(pool, np.random.SeedSequence(seed_key + tuple(row)).pool)
+                assert ones == rng_for(seed_key, *row).binomial(shots, p)
+                checked += 1
+
+    @pytest.mark.parametrize("seed_key, suffixes", [((-1,), [[0]]), ((3, -(2**40)), [[0]]), ((3,), [[0, -1]]),
+                                                    ((3,), [[2**32]])])
+    def test_rejects_parts_outside_the_key_range(self, seed_key, suffixes):
+        with pytest.raises(ValueError):
+            qagg._seed_pools(seed_key, suffixes)
 
 
 class TestCalibrationCache:
