@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import flsim, qagg, validate
+from . import SUITE_VERSION, flsim, qagg
 from .config import ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
 from .encode import HALF_PI, WeightBounds
 
@@ -58,7 +58,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_rounds_csv(out / "rounds.csv", all_records)
 
-    summary = {"config": cfg.to_dict(), "invariant_suite_version": validate.SUITE_VERSION, "strategies": {}}
+    summary = {"config": cfg.to_dict(), "invariant_suite_version": SUITE_VERSION, "strategies": {}}
     for strategy, records in per_strategy.items():
         final = records[-1] if records else None
         summary["strategies"][strategy] = {
@@ -77,13 +77,15 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def cmd_validate(inject_broken_channel: bool = False) -> int:
+    from . import validate  # only this command runs the suite
+
     results = validate.run_suite(inject_broken_channel=inject_broken_channel)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         print(f"[{tag}] {r.name}: {r.detail}")
         failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed (suite {validate.SUITE_VERSION})")
+    print(f"{len(results) - failed}/{len(results)} checks passed (suite {SUITE_VERSION})")
     return 0 if failed == 0 else 1
 
 

@@ -23,11 +23,25 @@ from .encode import WeightBounds, bounds_from_values, normalize_array
 from .qcore import NoiseModel
 
 STRATEGIES = ("fedavg", "qfl", "nrqfl")
+WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate"
+
+
+def _stack(arrays, members) -> np.ndarray:
+    """The clients `members` of `arrays` as one stack; an array that is already a stack is kept as it is."""
+    return arrays if isinstance(arrays, np.ndarray) else np.stack([arrays[i] for i in members])
 
 
 @dataclass
 class DataPartition:
-    """Disjoint per-client datasets plus a globally held-out test set."""
+    """Disjoint per-client datasets plus a globally held-out test set.
+
+    The client data comes as lists of per-client (n, f) features and (n,)
+    labels, or, for clients that all hold n samples, as one (k, n, f) and
+    (k, n) stack each. Clients of one sample count are stacked once, and
+    `client_features` and `client_labels` become lists of views of those
+    stacks: the data is held once, and a round gathers its clients' rows with
+    one fancy index per size.
+    """
 
     client_features: list
     client_labels: list
@@ -37,8 +51,20 @@ class DataPartition:
     skew: float
 
     def __post_init__(self):
-        if any(len(x) == 0 for x in self.client_features):
+        sizes = np.array([len(x) for x in self.client_features])
+        if np.any(sizes == 0):
             raise ValueError("every client must have at least one sample")
+        self._sizes = sizes
+        self._stacks = {}  # sample count -> (features (k, n, f), labels (k, n))
+        self._slot = np.empty(len(sizes), dtype=np.intp)  # each client's row in its stack
+        features, labels = [None] * len(sizes), [None] * len(sizes)
+        for n in sorted(set(sizes.tolist())):  # not np.unique: its first call imports numpy.ma
+            members = np.flatnonzero(sizes == n)
+            xs, ys = self._stacks[n] = (_stack(self.client_features, members), _stack(self.client_labels, members))
+            self._slot[members] = np.arange(len(members))
+            for i, x, y in zip(members.tolist(), xs, ys):
+                features[i], labels[i] = x, y
+        self.client_features, self.client_labels = features, labels
 
     @property
     def n_clients(self) -> int:
@@ -46,7 +72,23 @@ class DataPartition:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(y) for y in self.client_labels])
+        return self._sizes.copy()
+
+    def batches(self, clients) -> list:
+        """[(rows, features, labels)] per distinct sample count among `clients`, smallest first.
+
+        `rows` index into `clients`; features (k, n, f) and labels (k, n) are
+        those clients' data, in `rows` order.
+        """
+        clients = np.asarray(clients, dtype=np.intp)
+        sizes = self._sizes[clients]
+        out = []
+        for n in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == n)
+            xs, ys = self._stacks[n]
+            slots = self._slot[clients[rows]]
+            out.append((rows, xs[slots], ys[slots]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,58 +147,69 @@ def make_partition(
     means = _class_means(classes, feature_dim, class_sep)
     alpha = (1.0 - skew) * 10.0 + skew * 0.1
 
-    client_x, client_y = [], []
-    for _ in range(n_clients):
+    # every client holds samples_per_client samples, so they are drawn straight into one stack
+    client_x = np.empty((n_clients, samples_per_client, feature_dim))
+    client_y = np.empty((n_clients, samples_per_client), dtype=int)
+    for x, y in zip(client_x, client_y):
         props = rng.dirichlet(np.full(classes, alpha))
         counts = rng.multinomial(samples_per_client, props)
-        labels = np.repeat(np.arange(classes), counts)
-        feats = means[labels] + rng.normal(size=(samples_per_client, feature_dim))
-        client_x.append(feats)
-        client_y.append(labels)
+        y[:] = np.repeat(np.arange(classes), counts)
+        np.add(means[y], rng.normal(size=(samples_per_client, feature_dim)), out=x)
 
     test_y = rng.integers(0, classes, size=test_samples)
     test_x = means[test_y] + rng.normal(size=(test_samples, feature_dim))
     return DataPartition(client_x, client_y, test_x, test_y, classes, skew)
 
 
-def _logits(weights: np.ndarray, x: np.ndarray, classes: int) -> np.ndarray:
-    """x @ W + b for flat weights (..., (f+1)*c) and features (..., n, f)."""
-    w = weights.reshape(weights.shape[:-1] + (x.shape[-1] + 1, classes))
-    z = x @ w[..., :-1, :]
-    z += w[..., -1:, :]
+def _class_logits(weights: np.ndarray, xt: np.ndarray, classes: int) -> np.ndarray:
+    """Class-major logits W^T x + b, (..., c, n), for flat weights (..., (f+1)*c) and features xt (..., f, n)."""
+    w = weights.reshape(weights.shape[:-1] + (xt.shape[-2] + 1, classes))
+    z = np.swapaxes(w[..., :-1, :], -1, -2) @ xt
+    z += w[..., -1, :, None]
     return z
 
 
-def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last (class) axis of the C-ordered logits `z`, in place.
+def _class_probs(weights: np.ndarray, xt: np.ndarray, classes: int) -> tuple:
+    """Class-major softmax probs (..., c, n) and per-sample totals (..., n), in the logits buffer.
 
-    Bit-identical to exp(z - z.max(-1)) / exp(...).sum(-1): see `local_train`.
+    Bit-identical to the row-wise softmax: see `local_train`.
     """
-    cols = [z[..., k] for k in range(z.shape[-1])]
-    top = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(top, col, out=top)
-    for col in cols:
-        np.subtract(col, top, out=col)
+    z = _class_logits(weights, xt, classes)
+    rows = [z[..., k, :] for k in range(classes)]
+    top = rows[0].copy()
+    for row in rows[1:]:
+        np.maximum(top, row, out=top)
+    z -= top[..., None, :]
     np.exp(z, out=z)
-    if len(cols) < 8:
-        total = cols[0].copy()
-        for col in cols[1:]:
-            total += col
+    if classes < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
     else:
-        total = z.sum(axis=-1)
-    for col in cols:
-        col /= total
-    return z
+        total = np.ascontiguousarray(np.swapaxes(z, -1, -2)).sum(axis=-1)
+    z /= total[..., None, :]
+    return z, total
 
 
-def _delta_grad(probs: np.ndarray, onehot: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Flat cross-entropy gradient rows from softmax `probs`, which become the deltas in place."""
-    n, f = x.shape[-2:]
+def _class_onehot(y: np.ndarray, classes: int) -> np.ndarray:
+    """Boolean one-hot labels in class-major order, (..., c, n); an eighth of a float one's memory."""
+    return y[..., None, :] == np.arange(classes)[:, None]
+
+
+def _gradient(probs: np.ndarray, onehot: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Flat cross-entropy gradient rows (..., (f+1)*c) from class-major probs and one-hot labels.
+
+    The probs become the deltas (probs - onehot) / n in place.
+    """
+    f, n = xt.shape[-2:]
+    lead, classes = probs.shape[:-2], probs.shape[-2]
     probs -= onehot
     probs /= n
-    grad = np.concatenate([np.swapaxes(x, -1, -2) @ probs, probs.sum(axis=-2, keepdims=True)], axis=-2)
-    return grad.reshape(grad.shape[:-2] + ((f + 1) * probs.shape[-1],))
+    grad = np.empty(lead + (f + 1, classes))
+    np.matmul(xt, np.swapaxes(probs, -1, -2), out=grad[..., :-1, :])
+    by_sample = np.ascontiguousarray(np.moveaxis(probs, -1, 0)).reshape(n, -1)
+    grad[..., -1, :] = by_sample.sum(axis=0).reshape(lead + (classes,))
+    return grad.reshape(lead + ((f + 1) * classes,))
 
 
 def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
@@ -166,9 +219,11 @@ def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: in
     its own weight row in `weights` (..., p) or sharing one flat vector. The
     loss has the leading shape and the gradient one row per client.
     """
-    probs = _softmax_inplace(_logits(weights, x, classes))
-    loss = -np.mean(np.log(np.take_along_axis(probs, y[..., None], axis=-1)[..., 0] + 1e-300), axis=-1)
-    return loss, _delta_grad(probs, y[..., None] == np.arange(classes), x)
+    xt = np.swapaxes(x, -1, -2)
+    probs, _ = _class_probs(np.asarray(weights, dtype=float), xt, classes)
+    picked = np.take_along_axis(probs, y[..., None, :], axis=-2)[..., 0, :]
+    loss = -np.mean(np.log(picked + 1e-300), axis=-1)
+    return loss, _gradient(probs, _class_onehot(y, classes), xt)
 
 
 def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int, epochs: int, lr: float) -> np.ndarray:
@@ -179,25 +234,32 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
     """
     # a C-ordered copy per client: the memory layout picks numpy's matmul path,
     # and this one gives each client the bits of a lone 2-D call.
-    # The softmax (`_softmax_inplace`) works on class columns: a reduction
-    # along the 3-4-wide class axis costs numpy one inner-loop call per
-    # sample, a column op one call per class. A max is exact in any order;
-    # below 8 classes numpy sums a row left to right, so adding the columns in
-    # that order keeps its bits, and from 8 up, where numpy sums pairwise, the
-    # row sum stays. Every (..., n, c) temporary is written into the logits
-    # buffer, so no second copy adds to peak memory. A loss is finite exactly
-    # when every prob is, so only the probs are checked.
+    # Each epoch works on class-major (..., c, n) logits, W[:-1]^T @ x^T, so
+    # every softmax op runs along contiguous sample rows: a reduction along
+    # the 3-4-wide class axis costs numpy one inner-loop call per sample, a
+    # row op one call per class. The bits are the row-wise ones:
+    # - every logit and gradient entry is the same BLAS dot, over the same
+    #   operands in the same order, whichever operand is transposed;
+    # - a max is exact in any order, and below 8 classes numpy sums a row left
+    #   to right, which adding the class rows in order repeats; from 8 up,
+    #   where numpy sums pairwise, the row sum runs on a sample-major copy;
+    # - the row-wise bias gradient, `sum(axis=-2)` over samples, runs left to
+    #   right; copying the deltas to sample-major (n, k*c) and reducing axis 0
+    #   is the same sequential sum, with one k*c-wide inner loop per sample.
+    # Probs are finite exactly when their sample's total is, so only the
+    # totals are checked; a loss is finite exactly when every prob is.
     w = np.broadcast_to(np.asarray(weights, dtype=float), x.shape[:-2] + np.shape(weights)).copy()
-    onehot = y[..., None] == np.arange(classes)
+    xt = np.swapaxes(x, -1, -2)
+    onehot = _class_onehot(y, classes)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
         for _ in range(epochs):
-            probs = _softmax_inplace(_logits(w, x, classes))
-            if not np.all(np.isfinite(probs)):
+            probs, total = _class_probs(w, xt, classes)
+            if not np.all(np.isfinite(total)):
                 loss = loss_and_grad(w, x, y, classes)[0]
                 raise ValueError(f"training loss diverged (loss={np.max(loss)}); reduce the learning rate")
-            w -= lr * _delta_grad(probs, onehot, x)
+            w -= lr * _gradient(probs, onehot, xt)
             if not np.all(np.isfinite(w)):
-                raise ValueError("training weights diverged; reduce the learning rate")
+                raise ValueError(WEIGHTS_DIVERGED)
     return w
 
 
@@ -218,7 +280,7 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
     """(accuracy, macro F1) of argmax-softmax predictions."""
     if len(x) == 0:
         raise ValueError("empty test set")
-    pred = np.argmax(_logits(np.asarray(weights, dtype=float), x, classes), axis=1)
+    pred = np.argmax(_class_logits(np.asarray(weights, dtype=float), x.T, classes), axis=0)
     confusion = np.bincount(y * classes + pred, minlength=classes**2).reshape(classes, classes)
     tp = np.diag(confusion)
     fp = confusion.sum(axis=0) - tp
@@ -269,17 +331,11 @@ def run_round(
     sv = qselect.select_clients(partition.n_clients, m, entropy, round_index)
     selected = sv.selected
 
-    sizes = np.array([len(partition.client_labels[i]) for i in selected])
+    sizes = partition.sizes[list(selected)]
     # one training pass per client size (one per round on equal-size partitions)
     updates = np.empty((len(selected), p))
-    for n in np.unique(sizes):
-        rows = np.flatnonzero(sizes == n)
-        updates[rows] = local_train(
-            weights,
-            np.stack([partition.client_features[selected[r]] for r in rows]),
-            np.stack([partition.client_labels[selected[r]] for r in rows]),
-            partition.classes, cfg.local_epochs, cfg.lr,
-        )
+    for rows, xs, ys in partition.batches(selected):
+        updates[rows] = local_train(weights, xs, ys, partition.classes, cfg.local_epochs, cfg.lr)
     classical_mean = fedavg_aggregate(updates, sizes)
 
     epsilon, mean_angle, clip_count = 0.0, 0.0, 0
@@ -307,19 +363,25 @@ def run_round(
     bytes_down = 8 * p * partition.n_clients
     wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.record_timing else 0
 
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
+        grad_variance = _grad_variance(updates)
+        agg_error = float(np.mean(np.abs(new_weights - classical_mean)))
+    # weights near the float range train to finite rows whose spread overflows
+    if not np.all(np.isfinite([grad_variance, agg_error, epsilon, mean_angle])):
+        raise ValueError(WEIGHTS_DIVERGED)
     record = RoundRecord(
         round=round_index,
         strategy=strategy,
         accuracy=acc,
         f1=f1,
-        grad_variance=_grad_variance(updates),
+        grad_variance=grad_variance,
         bytes_up=bytes_up,
         bytes_down=bytes_down,
         selected=selected,
         wall_ms=wall_ms,
         epsilon=epsilon,
         mean_angle=mean_angle,
-        agg_error=float(np.mean(np.abs(new_weights - classical_mean))),
+        agg_error=agg_error,
         clip_count=clip_count,
     )
     return new_weights, record

@@ -41,8 +41,6 @@ from .qcore import (
     sample_measurement,
 )
 
-SUITE_VERSION = "1.0"
-
 # 99th percentile of chi-square with 4 degrees of freedom (5 clients). For
 # df = 4 the survival function is exp(-x/2) * (1 + x/2), which is 0.01 here.
 CHI2_DF4_P99 = 13.276704135987622

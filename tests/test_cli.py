@@ -199,6 +199,14 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_the_invariant_suite():
+    code = "import sys, nrqfl.cli; print('nrqfl.validate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "extra, key",
     [
@@ -274,6 +282,12 @@ class TestCmdRun:
         out = tmp_path / "never"
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_divergent_run_exits_3_without_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, {"lr": 1e300})), "--out", str(out)]) == 3
+        assert "training weights diverged; reduce the learning rate" in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
 
     def test_strategy_flag(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

@@ -104,6 +104,20 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             flsim.make_partition(1, 3, 50, 0.5, seed=0)
 
+    @pytest.mark.parametrize("make", [lambda: flsim.make_partition(4, 3, 50, 0.7, seed=1), unequal_partition],
+                             ids=["equal", "unequal"])
+    def test_client_arrays_are_views_of_the_stacks(self, make):
+        # the data is held once: each client's arrays are rows of its size's stacks
+        part = make()
+        stacks = {}
+        for x, y in zip(part.client_features, part.client_labels):
+            xs, ys = stacks.setdefault(len(y), (x.base, y.base))
+            assert isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
+            assert x.base is xs and y.base is ys
+        assert sorted(stacks) == sorted(set(part.sizes.tolist()))
+        assert sum(xs.nbytes + ys.nbytes for xs, ys in stacks.values()) == sum(
+            x.nbytes + y.nbytes for x, y in zip(part.client_features, part.client_labels))
+
 
 class TestLocalTrain:
     def setup_method(self):
@@ -167,6 +181,33 @@ class TestLocalTrain:
             expected = reference_train_loop(w0, xs, ys, c, epochs, 0.1)
             assert np.array_equal(flsim.local_train(w0, xs, ys, c, epochs, 0.1), expected), (n, m, epochs)
             assert np.array_equal(flsim.local_train(w0, xs[0], ys[0], c, epochs, 0.1), expected[0])
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 7, 8, 9, 16])
+    def test_edge_shapes_equal_per_client_loop(self, c):
+        # sample counts around numpy's 8-wide unrolling and 8192-element buffer, 2-D or 1 or 3 clients
+        for n, f, m in itertools.product((1, 2, 3, 8, 33, 2049, 4100), (2, 3, 4, 8), (None, 1, 3)):
+            rng = np.random.default_rng([n, f, c, m or 0])
+            xs = 2.0 * rng.normal(size=(m or 1, n, f))
+            ys = rng.integers(0, c, size=(m or 1, n))
+            w0 = 0.3 * rng.normal(size=(f + 1) * c)
+            expected = reference_train_loop(w0, xs, ys, c, 2, 0.1)
+            if m is None:
+                xs, ys, expected = xs[0], ys[0], expected[0]
+            assert np.array_equal(flsim.local_train(w0, xs, ys, c, 2, 0.1), expected), (n, f, m)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_inputs_are_not_written(self, batched):
+        rng = np.random.default_rng(3)
+        xs = 2.0 * rng.normal(size=(3, 40, 4))
+        ys = rng.integers(0, 5, size=(3, 40))
+        w0 = 0.3 * rng.normal(size=5 * 5)
+        if not batched:
+            xs, ys = xs[0], ys[0]
+        before = [a.copy() for a in (w0, xs, ys)]
+        flsim.local_train(w0, xs, ys, 5, 3, 0.1)
+        flsim.loss_and_grad(w0, xs, ys, 5)
+        for a, b in zip((w0, xs, ys), before):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("c", [4, 9])
     def test_batch_past_numpy_buffer_equals_per_client_loop(self, c):
@@ -312,6 +353,11 @@ class TestRunExperiment:
         eps, angle = flsim._round_epsilon(noise, updates, bounds)
         assert angle == mean_angle
         assert abs(eps - oracle) <= 1e-15
+
+    def test_round_with_overflowing_spread_diverges(self):
+        # weights near 1e300 stay finite, but the round's gradient variance overflows
+        with pytest.raises(ValueError, match=exactly(WEIGHTS_DIVERGED)):
+            flsim.run_experiment(fast_cfg(lr=1e300, rounds=2), "fedavg")
 
     def test_selection_subset_size(self):
         recs = flsim.run_experiment(fast_cfg(rounds=3, selection_m=3), "fedavg")

@@ -46,6 +46,13 @@ GOLDEN = {
         ("8022ffbe87cbcf43a2f69f5c160258f61ce9565ec1367908586c57376ea0dd63",
          "16ccf209e8f9dc88d38e9e90eaad62f7e74aff98352155f1477771b30c74852b"),
     ),
+    # 9 classes: training's softmax and bias-gradient sums take numpy's pairwise branch (8 classes and up)
+    "nine-classes": (
+        {"rounds": 6, "seed": 17, "classes": 9, "feature_dim": 3, "samples_per_client": 100,
+         "test_samples": 200},
+        ("e862c5c3bb73fd406f3ca03fba8d1805c958bc295575898592d19efa54f979ce",
+         "48f06053618f58242db46590179e9a6749b39f19509446317a04a9771d34a9b8"),
+    ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
