@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,60 +18,41 @@ from . import SUITE_VERSION, flsim, qagg
 from .config import ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
 from .encode import HALF_PI, WeightBounds
 
-CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
+CSV_HEADER = [f.name for f in fields(flsim.RoundRecord)][:9]  # the schema RoundRecord's docstring names
 
 
 def _fmt(x) -> str:
+    if isinstance(x, tuple):
+        return ";".join(str(c) for c in x)
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _csv_row(rec: flsim.RoundRecord) -> list:
-    return [
-        rec.round,
-        rec.strategy,
-        _fmt(rec.accuracy),
-        _fmt(rec.f1),
-        _fmt(rec.grad_variance),
-        rec.bytes_up,
-        rec.bytes_down,
-        ";".join(str(c) for c in rec.selected),
-        rec.wall_ms,
-    ]
-
-
-def _write_rounds_csv(path: Path, records: list) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(_csv_row(rec))
+def _summary(records: list) -> dict:
+    """One strategy's block of summary.json; a sweep row takes its numbers from it too."""
+    final = records[-1] if records else None
+    return {
+        "final_accuracy": final.accuracy if final else None,
+        "final_f1": final.f1 if final else None,
+        "total_bytes_up": int(sum(r.bytes_up for r in records)),
+        "total_bytes_down": int(sum(r.bytes_down for r in records)),
+        "mean_epsilon": float(np.mean([r.epsilon for r in records])) if records else 0.0,
+        "mean_agg_error": float(np.mean([r.agg_error for r in records])) if records else 0.0,
+        "total_clipped": int(sum(r.clip_count for r in records)),
+        "round_epsilon": [r.epsilon for r in records],
+    }
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    all_records = []
-    per_strategy = {}
-    for strategy in cfg.strategies:
-        records = flsim.run_experiment(cfg, strategy)
-        all_records.extend(records)
-        per_strategy[strategy] = records
-
+    runs = flsim.run_experiment(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_rounds_csv(out / "rounds.csv", all_records)
-
-    summary = {"config": cfg.to_dict(), "invariant_suite_version": SUITE_VERSION, "strategies": {}}
-    for strategy, records in per_strategy.items():
-        final = records[-1] if records else None
-        summary["strategies"][strategy] = {
-            "final_accuracy": final.accuracy if final else None,
-            "final_f1": final.f1 if final else None,
-            "total_bytes_up": int(sum(r.bytes_up for r in records)),
-            "total_bytes_down": int(sum(r.bytes_down for r in records)),
-            "mean_epsilon": float(np.mean([r.epsilon for r in records])) if records else 0.0,
-            "mean_agg_error": float(np.mean([r.agg_error for r in records])) if records else 0.0,
-            "total_clipped": int(sum(r.clip_count for r in records)),
-            "round_epsilon": [r.epsilon for r in records],
-        }
+    with (out / "rounds.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for records in runs.values():
+            writer.writerows([_fmt(getattr(rec, name)) for name in CSV_HEADER] for rec in records)
+    summary = {"config": cfg.to_dict(), "invariant_suite_version": SUITE_VERSION,
+               "strategies": {strategy: _summary(records) for strategy, records in runs.items()}}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'rounds.csv'} and {out / 'summary.json'}")
     return 0
@@ -138,15 +120,13 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
         depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit
-        for strategy in run_cfg.strategies:
-            records = flsim.run_experiment(run_cfg, strategy)
-            final = records[-1]
+        for strategy, records in flsim.run_experiment(run_cfg).items():
+            s = _summary(records)
             rows.append([
                 axis, _fmt(float(value)), strategy,
-                _fmt(final.accuracy), _fmt(final.f1),
-                _fmt(float(np.mean([r.agg_error for r in records]))),
+                _fmt(s["final_accuracy"]), _fmt(s["final_f1"]), _fmt(s["mean_agg_error"]),
                 _fmt(_sweep_variance(run_cfg, strategy, depth)),
-                int(sum(r.bytes_up + r.bytes_down for r in records)),
+                s["total_bytes_up"] + s["total_bytes_down"],
             ])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--strategy", help="comma-separated strategies (fedavg,qfl,nrqfl)")
+        p.add_argument("--strategy", help=f"comma-separated distinct strategies ({','.join(flsim.STRATEGIES)})")
 
     run = sub.add_parser("run", help="run the federated experiment and write rounds.csv / summary.json")
     add_common(run)

@@ -27,6 +27,8 @@ INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mi
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
 DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
+STRATEGIES = ("fedavg", "qfl", "nrqfl")  # a strategy's index here keys its shot and entropy streams
+ENTROPY_FLOOR = 1e-3  # smallest P(1) or P(0) of the selection entropy circuit a run draws from
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
 
@@ -113,7 +115,7 @@ class ExperimentConfig:
     rounds: int = 50
     local_epochs: int = 5
     lr: float = 0.1
-    strategies: tuple = ("fedavg", "qfl", "nrqfl")
+    strategies: tuple = STRATEGIES
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(p_depol=0.05, gamma=0.03))
     shots: int = 4096
     repeats: int = 3
@@ -144,8 +146,9 @@ class ExperimentConfig:
             if not _is_real(v) or v <= 0:
                 raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
         strategies = tuple(self.strategies)
-        if not strategies or any(s not in ("fedavg", "qfl", "nrqfl") for s in strategies):
-            raise ConfigError(f"strategies must be a non-empty subset of fedavg/qfl/nrqfl, got {strategies}")
+        if not strategies or any(s not in STRATEGIES for s in strategies) or len(set(strategies)) < len(strategies):
+            raise ConfigError(f"strategies must be a non-empty list of distinct names from {'/'.join(STRATEGIES)}, "
+                              f"got {strategies}")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "mitigation", tuple(self.mitigation))
         unknown = [m for m in self.mitigation if not isinstance(m, str) or m not in MITIGATION_FLAGS]
@@ -161,8 +164,10 @@ class ExperimentConfig:
         if m is not None:
             if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.n_clients:
                 raise ConfigError(f"selection_m must be null or an integer in 1..n_clients, got {m!r}")
-            if m < self.n_clients and EntropySource(self.noise, seed=0).p1 in (0.0, 1.0):
-                raise ConfigError("noise makes the selection entropy circuit read P(1) = 0 or 1, so it yields no random bits")
+            # von Neumann extraction keeps about p(1 - p) of the raw bits, so near 0 or 1 a selection all but never ends
+            if m < self.n_clients and not ENTROPY_FLOOR <= EntropySource(self.noise, seed=0).p1 <= 1 - ENTROPY_FLOOR:
+                raise ConfigError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of "
+                                  "0 or 1, so it yields almost no random bits")
         if "nrqfl" in strategies and {"calibration", "channel_inversion"} & set(self.mitigation):
             # both mitigations divide a depth-d circuit's <Z> by about (1 - 4p/3)^d
             for d in group_depths(self.n_clients if m is None else m):

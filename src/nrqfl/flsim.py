@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qagg, qselect
-from .config import ExperimentConfig
+from .config import STRATEGIES, ExperimentConfig
 from .encode import WeightBounds, bounds_from_values, normalize_array
 from .qcore import NoiseModel
 
-STRATEGIES = ("fedavg", "qfl", "nrqfl")
 WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate"
 
 
@@ -387,18 +386,24 @@ def run_round(
     return new_weights, record
 
 
-def run_experiment(cfg: ExperimentConfig, strategy: str) -> list:
-    """T rounds of `run_round`; deterministic per (seed, strategy)."""
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """{strategy: its `cfg.rounds` RoundRecords} for each of `cfg.strategies`, run in config order.
+
+    Every strategy trains from zero weights on one shared partition. Its shot
+    and entropy streams are keyed by its index in STRATEGIES, so its records
+    do not depend on which other strategies run, or in what order.
+    """
     partition = make_partition(
         cfg.n_clients, cfg.classes, cfg.samples_per_client, cfg.skew, cfg.seed,
         feature_dim=cfg.feature_dim, class_sep=cfg.class_sep, test_samples=cfg.test_samples,
     )
     p = (cfg.feature_dim + 1) * cfg.classes
-    weights = np.zeros(p)
-    entropy = qselect.EntropySource(cfg.noise, seed=[cfg.seed, STRATEGIES.index(strategy), 0xE17])
-    evaluate(weights, partition.test_features, partition.test_labels, partition.classes)
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        weights, record = run_round(strategy, t, weights, partition, cfg, entropy)
-        records.append(record)
-    return records
+    runs = {}
+    for strategy in cfg.strategies:
+        weights = np.zeros(p)
+        entropy = qselect.EntropySource(cfg.noise, seed=[cfg.seed, STRATEGIES.index(strategy), 0xE17])
+        records = runs[strategy] = []
+        for t in range(1, cfg.rounds + 1):
+            weights, record = run_round(strategy, t, weights, partition, cfg, entropy)
+            records.append(record)
+    return runs

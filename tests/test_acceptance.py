@@ -67,12 +67,12 @@ def test_criterion_4_theorem1_noise_bound():
         abs(qagg.noise_deviation(math.pi / 4, NoiseModel(p_deph=p)) - p) for p in (0.01, 0.05, 0.1, 0.3)
     )
     # per-round reported epsilon vs an independent SVD eigensolve oracle
-    cfg = ExperimentConfig(rounds=5, samples_per_client=100, test_samples=200)
+    cfg = ExperimentConfig(rounds=5, samples_per_client=100, test_samples=200, strategies=("nrqfl",))
     channel = identity_channel()
     for ch in cfg.noise.gate_channels():
         channel = compose_channels(channel, ch)
     worst_round = 0.0
-    for rec in flsim.run_experiment(cfg, "nrqfl"):
+    for rec in flsim.run_experiment(cfg)["nrqfl"]:
         state = encode(rec.mean_angle)
         diff = state.matrix - apply_channel(state, channel).matrix
         oracle = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
@@ -136,9 +136,8 @@ def desk_scale_comparison():
     finals = {"fedavg": [], "qfl": [], "nrqfl": []}
     bytes_total = {"qfl": 0, "nrqfl": 0}
     for seed in range(10):
-        cfg = ExperimentConfig(seed=seed)  # defaults: 5 clients, T=50, p=0.05, gamma=0.03
-        for strategy in ("fedavg", "qfl", "nrqfl"):
-            records = flsim.run_experiment(cfg, strategy)
+        cfg = ExperimentConfig(seed=seed)  # defaults: 5 clients, T=50, p=0.05, gamma=0.03, all three strategies
+        for strategy, records in flsim.run_experiment(cfg).items():
             finals[strategy].append(records[-1].accuracy)
             if strategy in bytes_total:
                 bytes_total[strategy] += sum(r.bytes_up + r.bytes_down for r in records)

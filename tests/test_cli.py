@@ -1,7 +1,9 @@
 import csv
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nrqfl import cli, flsim, qagg
@@ -32,6 +34,7 @@ from nrqfl.qcore import DensityMatrix, KrausChannel, NoiseModel
 ROOT = Path(__file__).resolve().parents[1]
 
 FAST = {"n_clients": 4, "samples_per_client": 80, "test_samples": 200, "rounds": 3, "shots": 512}
+CSV_COLUMNS = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
 
 
 def reference_calibration(noise, depth):
@@ -42,6 +45,14 @@ def reference_calibration(noise, depth):
         noisy.append(qagg.run_plan(qagg.build_plan([a] * depth), noise, 1, None, exact=True).z_raw)
     lam_hat, b_hat = np.polyfit(ideal, noisy, 1)
     return float(lam_hat), float(b_hat)
+
+
+@pytest.fixture
+def partition_builds(monkeypatch):
+    """The positional arguments of every `flsim.make_partition` call the test makes."""
+    built, make = [], flsim.make_partition
+    monkeypatch.setattr(flsim, "make_partition", lambda *a, **k: built.append(a) or make(*a, **k))
+    return built
 
 
 def write_cfg(tmp_path, extra=None):
@@ -191,6 +202,34 @@ def test_any_json_object_is_a_config_or_a_config_error(data):
     assert isinstance(cfg, ExperimentConfig)
 
 
+_SMALL = {"samples_per_client": 12, "test_samples": 20, "rounds": 2}
+_COUNTS = ("n_clients", "samples_per_client", "test_samples", "classes", "feature_dim", "rounds", "local_epochs",
+           "repeats", "n_servers")
+_RUN_OBJECTS = st.lists(st.sampled_from([k for k in _CONFIG_KEYS if k != "out_dir"]), unique=True, max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _config_value(k) for k in keys}))
+
+
+@given(_RUN_OBJECTS)
+@settings(max_examples=150, deadline=None)
+def test_any_small_accepted_config_runs_to_finite_numbers_or_diverges(data):
+    # the sizes a config leaves out stay small; larger ones are filtered out before anything is built
+    try:
+        cfg = config_from_dict({**_SMALL, **data})
+    except ConfigError:
+        return
+    assume(all(getattr(cfg, key) <= 64 for key in _COUNTS) and cfg.shots <= 4096)
+    try:
+        runs = flsim.run_experiment(cfg)
+    except ValueError as exc:  # a huge lr or class_sep diverges in the weights or, first, in the loss
+        assert str(exc) == flsim.WEIGHTS_DIVERGED or re.fullmatch(
+            r"training loss diverged \(loss=\S+\); reduce the learning rate", str(exc))
+        return
+    for records in runs.values():
+        values = [getattr(r, f.name) for r in records for f in fields(r)]
+        assert all(math.isfinite(v) for v in values if isinstance(v, float))
+        json.dumps(cli._summary(records), allow_nan=False)  # raises on a NaN or an infinity
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, nrqfl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -235,15 +274,22 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"classes": 1}, "classes"),
         ({"feature_dim": 1}, "feature_dim"),
         ({"feature_dim": 9}, "feature_dim"),
+        ({"noise": {"gamma": 0.99999}, "selection_m": 3}, "noise"),
+        ({"strategies": ["qfl", "nrqfl", "qfl"]}, "strategies"),
+        (["--strategy", "fedavg,fedavg"], "strategies"),
     ],
     ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
-         "one-client", "one-class", "features-1", "features-9"],
+         "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
+         "repeated-strategy-flag"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
+    # a dict goes into the config file, a list is passed as command-line flags
+    flags = extra if isinstance(extra, list) else []
     out = tmp_path / "never"
-    assert main(["run", "--config", str(write_cfg(tmp_path, extra)), "--out", str(out)]) == 2
+    cfg_path = write_cfg(tmp_path, None if flags else extra)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -255,8 +301,12 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         with (out / "rounds.csv").open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == CSV_HEADER
+        assert rows[0] == CSV_COLUMNS == CSV_HEADER
         assert len(rows) - 1 == FAST["rounds"] * 3  # three strategies
+
+    def test_one_partition_per_run(self, tmp_path, partition_builds):
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+        assert len(partition_builds) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {"seed": 5})
@@ -338,12 +388,17 @@ class TestCmdSweep:
                     for r in csv.DictReader(fh)]
         expected = []
         for v in values:
-            for strategy in ("qfl", "nrqfl"):
-                records = flsim.run_experiment(ExperimentConfig(seed=1, rounds=3, **setting(v)), strategy)
+            runs = flsim.run_experiment(ExperimentConfig(seed=1, rounds=3, strategies=("qfl", "nrqfl"), **setting(v)))
+            for records in runs.values():
                 expected.append((cli._fmt(records[-1].accuracy), cli._fmt(records[-1].f1),
                                  cli._fmt(float(np.mean([r.agg_error for r in records]))),
                                  str(sum(r.bytes_up + r.bytes_down for r in records))))
         assert rows == expected
+
+    def test_one_partition_per_value(self, tmp_path, partition_builds):
+        assert main(["sweep", "--config", str(write_cfg(tmp_path, {"rounds": 1})), "--out", str(tmp_path / "out"),
+                     "--axis", "shots", "--values", "512,1024,2048"]) == 0
+        assert len(partition_builds) == 3
 
     def test_single_value_rejected(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -398,7 +453,7 @@ class TestCmdSweep:
     ])
     def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, axis, values, key):
         runs = []
-        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg, strategy: runs.append(strategy))
+        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg: runs.append(cfg))
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out),
                      "--axis", axis, "--values", values])
@@ -410,7 +465,7 @@ class TestCmdSweep:
         cfg_path = write_cfg(tmp_path, {"rounds": 0})
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
         runs = []
-        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg, strategy: runs.append(strategy))
+        monkeypatch.setattr(cli.flsim, "run_experiment", lambda cfg: runs.append(cfg))
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots", "--values", "512,1024"])
         assert code == 2

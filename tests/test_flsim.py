@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ def exactly(message):
 
 def fast_cfg(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
+
+
+def run_alone(cfg, strategy):
+    """The records of `strategy` in a run of `cfg` with no other strategy."""
+    return flsim.run_experiment(replace(cfg, strategies=(strategy,)))[strategy]
 
 
 def reference_local_train(weights, x, y, classes, epochs, lr):
@@ -302,27 +308,45 @@ class TestEvaluate:
 
 class TestRunExperiment:
     def test_zero_rounds(self):
-        assert flsim.run_experiment(fast_cfg(rounds=0), "fedavg") == []
+        assert flsim.run_experiment(fast_cfg(rounds=0)) == {"fedavg": [], "qfl": [], "nrqfl": []}
 
     def test_determinism(self):
         cfg = fast_cfg(seed=11, rounds=4)
-        a = flsim.run_experiment(cfg, "nrqfl")
-        b = flsim.run_experiment(cfg, "nrqfl")
+        a = run_alone(cfg, "nrqfl")
+        b = run_alone(cfg, "nrqfl")
         assert a == b
 
+    def test_strategies_run_in_config_order_independent_of_each_other(self):
+        # the strategies share one partition; each strategy's streams are keyed by its STRATEGIES index
+        cfg = fast_cfg(seed=3, rounds=3, selection_m=3, strategies=("nrqfl", "fedavg", "qfl"))
+        runs = flsim.run_experiment(cfg)
+        assert list(runs) == ["nrqfl", "fedavg", "qfl"]
+        for strategy in flsim.STRATEGIES:
+            assert runs[strategy] == run_alone(cfg, strategy)
+            assert [r.strategy for r in runs[strategy]] == [strategy] * 3
+
     def test_noiseless_qfl_matches_fedavg(self):
-        cfg = fast_cfg(rounds=10, noise=NoiseModel(), exact_expectation=True)
-        fa = flsim.run_experiment(cfg, "fedavg")
-        qf = flsim.run_experiment(cfg, "qfl")
-        for ra, rq in zip(fa, qf):
+        cfg = fast_cfg(rounds=10, noise=NoiseModel(), exact_expectation=True, strategies=("fedavg", "qfl"))
+        runs = flsim.run_experiment(cfg)
+        for ra, rq in zip(runs["fedavg"], runs["qfl"]):
             assert rq.accuracy == pytest.approx(ra.accuracy, abs=1e-6)
             assert rq.agg_error < 1e-6
+
+    def test_noiseless_nrqfl_matches_fedavg(self):
+        # noiseless calibration fits the identity map, so mitigation leaves the exact mean alone
+        cfg = fast_cfg(n_clients=4, samples_per_client=60, rounds=10, noise=NoiseModel(), exact_expectation=True,
+                       strategies=("fedavg", "nrqfl"))
+        runs = flsim.run_experiment(cfg)
+        for ra, rn in zip(runs["fedavg"], runs["nrqfl"]):
+            assert rn.accuracy == pytest.approx(ra.accuracy, abs=1e-6)
+            assert rn.agg_error < 1e-6
 
     def test_byte_accounting_closed_form(self):
         cfg = fast_cfg(rounds=3)
         p = (cfg.feature_dim + 1) * cfg.classes
+        runs = flsim.run_experiment(cfg)
         for strategy, extra in (("fedavg", 0), ("qfl", 0), ("nrqfl", 8 * p)):
-            for rec in flsim.run_experiment(cfg, strategy):
+            for rec in runs[strategy]:
                 assert rec.bytes_up == 8 * p * len(rec.selected) + extra
                 assert rec.bytes_down == 8 * p * cfg.n_clients
 
@@ -331,14 +355,13 @@ class TestRunExperiment:
         assert flsim._grad_variance(updates) == 0.0
 
     def test_grad_variance_nonnegative(self):
-        for rec in flsim.run_experiment(fast_cfg(rounds=3), "fedavg"):
+        for rec in run_alone(fast_cfg(rounds=3), "fedavg"):
             assert rec.grad_variance >= 0.0
 
     def test_epsilon_reported_for_quantum_strategies(self):
-        recs = flsim.run_experiment(fast_cfg(rounds=2), "nrqfl")
-        assert all(r.epsilon > 0 for r in recs)
-        recs = flsim.run_experiment(fast_cfg(rounds=2), "fedavg")
-        assert all(r.epsilon == 0 for r in recs)
+        runs = flsim.run_experiment(fast_cfg(rounds=2))
+        assert all(r.epsilon > 0 for r in runs["nrqfl"])
+        assert all(r.epsilon == 0 for r in runs["fedavg"])
 
     def test_round_epsilon_matches_fresh_channel(self):
         noise = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02)
@@ -357,10 +380,10 @@ class TestRunExperiment:
     def test_round_with_overflowing_spread_diverges(self):
         # weights near 1e300 stay finite, but the round's gradient variance overflows
         with pytest.raises(ValueError, match=exactly(WEIGHTS_DIVERGED)):
-            flsim.run_experiment(fast_cfg(lr=1e300, rounds=2), "fedavg")
+            run_alone(fast_cfg(lr=1e300, rounds=2), "fedavg")
 
     def test_selection_subset_size(self):
-        recs = flsim.run_experiment(fast_cfg(rounds=3, selection_m=3), "fedavg")
+        recs = run_alone(fast_cfg(rounds=3, selection_m=3), "fedavg")
         assert all(len(r.selected) == 3 for r in recs)
 
 

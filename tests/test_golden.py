@@ -53,6 +53,13 @@ GOLDEN = {
         ("e862c5c3bb73fd406f3ca03fba8d1805c958bc295575898592d19efa54f979ce",
          "48f06053618f58242db46590179e9a6749b39f19509446317a04a9771d34a9b8"),
     ),
+    # strategies out of STRATEGIES order: each strategy's streams stay keyed by its STRATEGIES index
+    "strategy-order": (
+        {"rounds": 6, "seed": 19, "strategies": ["nrqfl", "fedavg", "qfl"], "samples_per_client": 100,
+         "test_samples": 200},
+        ("fa1f701266a0467a46e8135be372967b74e2ed4e0ae7fc563d0e441204401c18",
+         "411a5e9dd41f730707b50a8dab760bf5396a9e562f9c7d7c9b5599bf79f906c0"),
+    ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
