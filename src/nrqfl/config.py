@@ -145,6 +145,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not _is_real(v) or v <= 0:
                 raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
+        if not math.isfinite(2.0 * self.fixed_weight_bound):  # qfl encodes over [-b, b]
+            raise ConfigError(f"fixed_weight_bound b must keep the width 2b finite, got {self.fixed_weight_bound!r}")
         strategies = tuple(self.strategies)
         if not strategies or any(s not in STRATEGIES for s in strategies) or len(set(strategies)) < len(strategies):
             raise ConfigError(f"strategies must be a non-empty list of distinct names from {'/'.join(STRATEGIES)}, "

@@ -17,42 +17,45 @@ from .qcore import DensityMatrix, apply_unitary, make_pure_state, prob_one, ry
 HALF_PI = math.pi / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightBounds:
-    """Parameter-space interval mapped onto the encodable angle range."""
+    """Parameter-space intervals mapped onto the encodable angle range.
 
-    lo: float
-    hi: float
+    `lo` and `hi` are read-only float arrays of one shape: () bounds every
+    parameter by the same interval, (P,) bounds parameter j by [lo[j], hi[j]].
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
+        if lo.shape != hi.shape or lo.ndim > 1:
+            raise ValueError(f"bounds need lo and hi of one shape, () or (P,); got {lo.shape} and {hi.shape}")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("bounds must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"bounds require lo < hi, got [{self.lo}, {self.hi}]")
+        if not np.all(lo < hi):
+            raise ValueError(f"bounds require lo < hi, got [{lo}, {hi}]")
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
-def normalize(w: float, bounds: WeightBounds) -> float:
-    """Affine map to an angle in [0, pi/2]; out-of-range weights are clamped."""
-    return float(normalize_array(w, bounds.lo, bounds.hi))
+def normalize(values, bounds: WeightBounds) -> np.ndarray:
+    """Affine map to angles in [0, pi/2], elementwise; out-of-range weights are clamped.
 
-
-def normalize_array(values, lo, hi) -> np.ndarray:
-    """`normalize` elementwise, with bounds that broadcast (an N x P array against length-P lo and hi)."""
+    `values` broadcasts against the bounds: an N x P array against (P,) bounds.
+    """
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("weight must be finite")
-    return HALF_PI * np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    return HALF_PI * np.clip((values - bounds.lo) / (bounds.hi - bounds.lo), 0.0, 1.0)
 
 
-def denormalize(angle: float, bounds: WeightBounds) -> float:
-    """Exact inverse of `normalize` on [lo, hi]."""
-    return float(denormalize_array(angle, bounds.lo, bounds.hi))
-
-
-def denormalize_array(angles, lo, hi) -> np.ndarray:
-    """`denormalize` elementwise, with bounds that broadcast."""
+def denormalize(angles, bounds: WeightBounds) -> np.ndarray:
+    """Exact inverse of `normalize` on [lo, hi], elementwise."""
     _check_angle(angles)
-    return lo + (hi - lo) * np.asarray(angles, dtype=float) / HALF_PI
+    return bounds.lo + (bounds.hi - bounds.lo) * np.asarray(angles, dtype=float) / HALF_PI
 
 
 def encode(angle: float) -> DensityMatrix:
@@ -79,19 +82,16 @@ def angle_to_z(angle: float) -> float:
     return math.cos(2.0 * angle)
 
 
-def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds | list:
-    """Min/max bounds over client values, padded so degenerate spans stay valid.
+def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds:
+    """Min/max bounds over axis 0 of the client values, padded so degenerate spans stay valid.
 
-    1-D values give one WeightBounds; an N x P array gives a list of P, one
-    per column.
+    1-D values give () bounds; an N x P array gives (P,) bounds, one per column.
     """
     arr = np.asarray(values, dtype=float)
     lo, hi = arr.min(axis=0), arr.max(axis=0)
     narrow = hi - lo < pad
     span = np.maximum(pad, np.abs(lo) * 1e-9)
-    lo, hi = np.where(narrow, lo - span, lo), np.where(narrow, hi + span, hi)
-    bounds = [WeightBounds(a, b) for a, b in zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist())]
-    return bounds if arr.ndim == 2 else bounds[0]
+    return WeightBounds(np.where(narrow, lo - span, lo), np.where(narrow, hi + span, hi))
 
 
 def _check_angle(angle) -> None:

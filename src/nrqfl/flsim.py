@@ -19,10 +19,11 @@ import numpy as np
 
 from . import qagg, qselect
 from .config import STRATEGIES, ExperimentConfig
-from .encode import WeightBounds, bounds_from_values, normalize_array
+from .encode import WeightBounds, bounds_from_values, normalize
 from .qcore import NoiseModel
 
-WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate"
+DIVERGED_HINT = "reduce the learning rate (lr) or class_sep"
+WEIGHTS_DIVERGED = f"training weights diverged; {DIVERGED_HINT}"
 
 
 def _stack(arrays, members) -> np.ndarray:
@@ -255,7 +256,7 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
             probs, total = _class_probs(w, xt, classes)
             if not np.all(np.isfinite(total)):
                 loss = loss_and_grad(w, x, y, classes)[0]
-                raise ValueError(f"training loss diverged (loss={np.max(loss)}); reduce the learning rate")
+                raise ValueError(f"training loss diverged (loss={np.max(loss)}); {DIVERGED_HINT}")
             w -= lr * _gradient(probs, onehot, xt)
             if not np.all(np.isfinite(w)):
                 raise ValueError(WEIGHTS_DIVERGED)
@@ -293,11 +294,9 @@ def _grad_variance(updates: np.ndarray) -> float:
     return float(np.mean((updates - updates.mean(axis=0)) ** 2))
 
 
-def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds) -> tuple:
+def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds: WeightBounds) -> tuple:
     """Noise deviation of the round's mean encoded state under one gate-noise pass."""
-    lo = np.array([b.lo for b in bounds])
-    hi = np.array([b.hi for b in bounds])
-    mean_angle = float(np.mean(normalize_array(updates.mean(axis=0), lo, hi)))
+    mean_angle = float(np.mean(normalize(updates.mean(axis=0), bounds)))
     return qagg.noise_deviation(mean_angle, noise), mean_angle
 
 
@@ -342,8 +341,7 @@ def run_round(
         new_weights = classical_mean
     else:
         if strategy == "qfl":
-            b = cfg.fixed_weight_bound
-            bounds = [WeightBounds(-b, b)] * p
+            bounds = WeightBounds(-cfg.fixed_weight_bound, cfg.fixed_weight_bound)
         else:
             bounds = bounds_from_values(updates)
         acfg = aggregation_config(cfg, strategy)

@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, fit_calibration, fused_gates, group_sizes
-from .encode import HALF_PI, denormalize_array, normalize_array, z_to_angle
+from .encode import HALF_PI, WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import (
     DensityMatrix,
     KrausChannel,
@@ -271,7 +271,7 @@ def _mitigate_z(z, mitigation, noise, depth: int):
 
 def aggregate(
     client_vectors,
-    bounds,
+    bounds: WeightBounds,
     cfg: AggregationConfig,
     noise: NoiseModel,
     seed_key=(0,),
@@ -285,6 +285,7 @@ def aggregate(
     repeat) draws its shots from its own RNG stream keyed by
     (seed_key, parameter, group, repeat), so results are independent of
     execution order; `_shot_draws` derives all of a call's streams at once.
+    `bounds` of shape () bound every parameter alike; (P,) bounds, one each.
     """
     vectors = np.asarray(client_vectors, dtype=float)
     if vectors.ndim != 2:
@@ -292,13 +293,11 @@ def aggregate(
     n, p = vectors.shape
     if n == 0:
         raise ValueError("empty client set")
-    if len(bounds) != p:
-        raise ValueError(f"need {p} per-parameter bounds, got {len(bounds)}")
+    if bounds.lo.shape not in ((), (p,)):
+        raise ValueError(f"need () or ({p},) bounds, got shape {bounds.lo.shape}")
 
-    lo = np.array([b.lo for b in bounds])
-    hi = np.array([b.hi for b in bounds])
-    clip_count = int(np.sum((vectors < lo) | (vectors > hi)))
-    angles = normalize_array(vectors, lo, hi)
+    clip_count = int(np.sum((vectors < bounds.lo) | (vectors > bounds.hi)))
+    angles = normalize(vectors, bounds)
     repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
     sizes = group_sizes(n)
     p1 = np.stack([circuit_p1(fused_gates(angles[end - d:end].T), noise) for d, end in zip(sizes, accumulate(sizes))])
@@ -312,12 +311,12 @@ def aggregate(
     group_angles = np.stack([z_to_angle(_mitigate_z(z[g], cfg.mitigation, noise, d)) for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
     mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()
-    return AggregateResult(vector=denormalize_array(mean_angle, lo, hi), clip_count=clip_count)
+    return AggregateResult(vector=denormalize(mean_angle, bounds), clip_count=clip_count)
 
 
 def replicated_aggregate(
     client_vectors,
-    bounds,
+    bounds: WeightBounds,
     cfg: AggregationConfig,
     noise: NoiseModel,
     n_servers: int,

@@ -222,7 +222,7 @@ def test_any_small_accepted_config_runs_to_finite_numbers_or_diverges(data):
         runs = flsim.run_experiment(cfg)
     except ValueError as exc:  # a huge lr or class_sep diverges in the weights or, first, in the loss
         assert str(exc) == flsim.WEIGHTS_DIVERGED or re.fullmatch(
-            r"training loss diverged \(loss=\S+\); reduce the learning rate", str(exc))
+            r"training loss diverged \(loss=\S+\); reduce the learning rate \(lr\) or class_sep", str(exc))
         return
     for records in runs.values():
         values = [getattr(r, f.name) for r in records for f in fields(r)]
@@ -277,12 +277,14 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"noise": {"gamma": 0.99999}, "selection_m": 3}, "noise"),
         ({"strategies": ["qfl", "nrqfl", "qfl"]}, "strategies"),
         (["--strategy", "fedavg,fedavg"], "strategies"),
+        ({"fixed_weight_bound": 1e308, "samples_per_client": 12, "test_samples": 20, "rounds": 2},
+         "fixed_weight_bound"),
     ],
     ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
-         "repeated-strategy-flag"],
+         "repeated-strategy-flag", "bound-width-overflow"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
     # a dict goes into the config file, a list is passed as command-line flags
@@ -337,6 +339,14 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, {"lr": 1e300})), "--out", str(out)]) == 3
         assert "training weights diverged; reduce the learning rate" in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
+    def test_huge_class_sep_exits_3_naming_it(self, tmp_path, capsys):
+        # the features' scale overflows the logits, so the divergence names class_sep as well as lr
+        cfg_path = write_cfg(tmp_path, {"class_sep": 1e155, "samples_per_client": 12, "test_samples": 20, "rounds": 2})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "class_sep" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
     def test_strategy_flag(self, tmp_path):
@@ -426,7 +436,7 @@ class TestCmdSweep:
             acfg = qagg.AggregationConfig(shots=cfg.shots)
         depth, trials = 5, 2000
         angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)
-        estimates = qagg.replicated_aggregate(angles, [WeightBounds(0.0, HALF_PI)] * trials, acfg, cfg.noise,
+        estimates = qagg.replicated_aggregate(angles, WeightBounds(0.0, HALF_PI), acfg, cfg.noise,
                                               n_servers, seed_key=(17,)).vector
         assert cli._sweep_variance(cfg, strategy, depth) == pytest.approx(np.var(estimates, ddof=1), rel=0.25)
 

@@ -90,6 +90,31 @@ class TestWeightBounds:
         with pytest.raises(ValueError):
             WeightBounds(0.0, float("inf"))
 
+    @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [1.0, np.nan]), ([-np.inf, 0.0], [1.0, 2.0]),
+                                        ([0.0, -np.inf], [1.0, 2.0]), ([0.0, 1.0], [1.0, np.inf])])
+    def test_rejects_any_non_finite_value(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            WeightBounds(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [1.0, 1.0]), ([0.0, 3.0], [1.0, 2.0]), (2.0, 2.0)])
+    def test_rejects_any_lo_not_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            WeightBounds(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [2.0]), (0.0, [1.0, 2.0]), ([[0.0]], [[1.0]])])
+    def test_rejects_shapes_other_than_one_scalar_or_vector_pair(self, lo, hi):
+        with pytest.raises(ValueError, match="shape"):
+            WeightBounds(lo, hi)
+
+    def test_holds_read_only_float_arrays(self):
+        lo = [1, 2]
+        b = WeightBounds(lo, [3, 4])
+        assert b.lo.dtype == b.hi.dtype == np.float64 and b.lo.shape == (2,)
+        with pytest.raises(ValueError):
+            b.lo[0] = 0.0
+        lo[0] = 5  # the bounds hold their own copy
+        assert b.lo[0] == 1.0
+
     def test_bounds_from_values(self):
         b = bounds_from_values([1.0, 3.0, 2.0])
         assert (b.lo, b.hi) == (1.0, 3.0)
@@ -99,8 +124,11 @@ class TestWeightBounds:
         values[:, 1] = 2.0  # a degenerate column is padded
         values[:, 3] = 0.0
         got = bounds_from_values(values)
-        assert got == [bounds_from_values(values[:, j]) for j in range(5)]
-        assert got[1].lo < 2.0 < got[1].hi
+        columns = [bounds_from_values(values[:, j]) for j in range(5)]
+        assert got.lo.shape == got.hi.shape == (5,)
+        assert np.array_equal(got.lo, [b.lo for b in columns])
+        assert np.array_equal(got.hi, [b.hi for b in columns])
+        assert got.lo[1] < 2.0 < got.hi[1]
 
     def test_degenerate_values_padded(self):
         b = bounds_from_values([2.0, 2.0])

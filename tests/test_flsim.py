@@ -13,8 +13,8 @@ from nrqfl.encode import bounds_from_values, encode, normalize
 from nrqfl.qcore import NoiseModel, apply_channel, compose_channels, identity_channel
 
 FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
-WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate"
-LOSS_DIVERGED = "training loss diverged (loss=nan); reduce the learning rate"
+WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate (lr) or class_sep"
+LOSS_DIVERGED = "training loss diverged (loss=nan); reduce the learning rate (lr) or class_sep"
 
 
 def exactly(message):
@@ -366,14 +366,14 @@ class TestRunExperiment:
     def test_round_epsilon_matches_fresh_channel(self):
         noise = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02)
         updates = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 6))
-        bounds = [bounds_from_values(updates[:, j]) for j in range(6)]
+        columns = [bounds_from_values(updates[:, j]) for j in range(6)]
         channel = identity_channel()
         for ch in noise.gate_channels():
             channel = compose_channels(channel, ch)
-        mean_angle = float(np.mean([normalize(float(v), b) for v, b in zip(updates.mean(axis=0), bounds)]))
+        mean_angle = float(np.mean([normalize(float(v), b) for v, b in zip(updates.mean(axis=0), columns)]))
         rho = encode(mean_angle)
         oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - apply_channel(rho, channel).matrix)))
-        eps, angle = flsim._round_epsilon(noise, updates, bounds)
+        eps, angle = flsim._round_epsilon(noise, updates, bounds_from_values(updates))
         assert angle == mean_angle
         assert abs(eps - oracle) <= 1e-15
 

@@ -60,6 +60,14 @@ GOLDEN = {
         ("fa1f701266a0467a46e8135be372967b74e2ed4e0ae7fc563d0e441204401c18",
          "411a5e9dd41f730707b50a8dab760bf5396a9e562f9c7d7c9b5599bf79f906c0"),
     ),
+    # a qfl bound narrower than the updates: qfl clips every round (total_clipped 193), so the
+    # shared bound's broadcast and clip_count are pinned
+    "qfl-clipping": (
+        {"rounds": 6, "seed": 23, "fixed_weight_bound": 0.05, "strategies": ["qfl", "nrqfl"],
+         "samples_per_client": 100, "test_samples": 200},
+        ("5bb8768a6ccbac20bbdd5c0c25c219ebd1318b7a3d9e3694e8b64f5d79c56ac6",
+         "b857a1e38b28458347cd955e7ab320b9ff257894bb8e101c024b78098d868967"),
+    ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",

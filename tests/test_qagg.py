@@ -37,7 +37,9 @@ def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
     groups = [list(c) for c in np.array_split(np.arange(n), math.ceil(n / qagg.MAX_GROUP))]
     repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
     out, clip_count = np.empty(p), 0
-    for j, b in enumerate(bounds):
+    lo, hi = np.broadcast_to(bounds.lo, (p,)), np.broadcast_to(bounds.hi, (p,))
+    for j in range(p):
+        b = WeightBounds(lo[j], hi[j])
         values = vectors[:, j]
         clip_count += int(np.sum((values < b.lo) | (values > b.hi)))
         angles = np.array([normalize(v, b) for v in values])
@@ -157,7 +159,7 @@ class TestCalibrate:
 
 class TestAggregate:
     def wide_bounds(self, p):
-        return [WeightBounds(-10.0, 10.0)] * p
+        return WeightBounds(np.full(p, -10.0), np.full(p, 10.0))
 
     def test_noiseless_mean(self):
         cfg = qagg.AggregationConfig(exact_expectation=True)
@@ -171,7 +173,7 @@ class TestAggregate:
         )
         noise = NoiseModel(p_depol=0.05, gamma=0.03)
         vecs = [[0.4, -0.2]] * 3
-        result = qagg.aggregate(vecs, [WeightBounds(-1, 1)] * 2, cfg, noise, seed_key=(7,))
+        result = qagg.aggregate(vecs, WeightBounds(-1, 1), cfg, noise, seed_key=(7,))
         # 0.02 rad tolerance maps to 0.02/(pi/2) * span in weight units
         tol = 0.02 / HALF_PI * 2.0
         assert result.vector == pytest.approx([0.4, -0.2], abs=tol)
@@ -185,13 +187,24 @@ class TestAggregate:
 
     def test_clip_counting(self):
         cfg = qagg.AggregationConfig(exact_expectation=True)
-        result = qagg.aggregate([[20.0], [0.0]], [WeightBounds(-10, 10)], cfg, NOISELESS)
+        result = qagg.aggregate([[20.0], [0.0]], WeightBounds(-10, 10), cfg, NOISELESS)
         assert result.clip_count == 1
 
     def test_rejects_mismatched_bounds(self):
         cfg = qagg.AggregationConfig()
         with pytest.raises(ValueError):
-            qagg.aggregate([[1.0, 2.0], [3.0, 4.0]], [WeightBounds(-1, 1)], cfg, NOISELESS)
+            qagg.aggregate([[1.0, 2.0], [3.0, 4.0]], WeightBounds([-1.0], [1.0]), cfg, NOISELESS)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    def test_shared_bounds_equal_their_per_parameter_broadcast(self, exact):
+        # the data reach past the bounds, so clipping is compared too
+        cfg = qagg.AggregationConfig(shots=300, repeats=3, mitigation=frozenset(qagg.MITIGATION_FLAGS),
+                                     exact_expectation=exact)
+        vecs = np.random.default_rng(24).uniform(-2.0, 2.0, size=(13, 4))
+        shared = qagg.aggregate(vecs, WeightBounds(-1.5, 1.0), cfg, ALL_NOISE, seed_key=(6,))
+        full = qagg.aggregate(vecs, WeightBounds(np.full(4, -1.5), np.full(4, 1.0)), cfg, ALL_NOISE, seed_key=(6,))
+        assert shared.clip_count == full.clip_count > 0
+        assert np.array_equal(shared.vector, full.vector)
 
     def test_seeded_determinism(self):
         cfg = qagg.AggregationConfig(shots=1000)
@@ -203,7 +216,7 @@ class TestAggregate:
 
 class TestAggregateMatchesReferenceLoop:
     # bounds narrower than the data on parameter 0, so some values clip
-    BOUNDS = [WeightBounds(-1.0, 1.0), WeightBounds(-3.0, 2.5), WeightBounds(-2.0, 2.0)]
+    BOUNDS = WeightBounds([-1.0, -3.0, -2.0], [1.0, 2.5, 2.0])
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
     @pytest.mark.parametrize("mitigation", MITIGATION_SUBSETS, ids=lambda m: "+".join(sorted(m)) or "none")
@@ -282,7 +295,7 @@ class TestCalibrationCache:
         cfg = qagg.AggregationConfig(shots=300, mitigation=frozenset({"calibration"}))
         vecs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(11, 2))  # groups of 6 and 5
         for key in range(3):
-            qagg.aggregate(vecs, [WeightBounds(-1, 1)] * 2, cfg, ALL_NOISE, seed_key=(key,))
+            qagg.aggregate(vecs, WeightBounds(-1, 1), cfg, ALL_NOISE, seed_key=(key,))
         assert sorted(calls) == [5, 6]
 
 
@@ -290,7 +303,7 @@ class TestReplicatedAggregate:
     def test_single_server_bit_identical(self):
         cfg = qagg.AggregationConfig(shots=1000)
         vecs = [[1.0], [3.0]]
-        bounds = [WeightBounds(-10, 10)]
+        bounds = WeightBounds(-10, 10)
         direct = qagg.aggregate(vecs, bounds, cfg, DEPOL, seed_key=(9,))
         replicated = qagg.replicated_aggregate(vecs, bounds, cfg, DEPOL, 1, seed_key=(9,))
         assert np.array_equal(direct.vector, replicated.vector)
@@ -298,7 +311,7 @@ class TestReplicatedAggregate:
     def test_median_robust_to_outlier(self):
         cfg = qagg.AggregationConfig(exact_expectation=True)
         vecs = [[1.0], [3.0]]
-        bounds = [WeightBounds(-10, 10)]
+        bounds = WeightBounds(-10, 10)
         result = qagg.replicated_aggregate(vecs, bounds, cfg, NOISELESS, 5, seed_key=(1,))
         per_server = np.array([result.vector[0]] * 5)
         per_server[0] += 1e3  # adversarial replacement
@@ -307,7 +320,7 @@ class TestReplicatedAggregate:
     def test_variance_not_worse_than_single(self):
         cfg = qagg.AggregationConfig(shots=500)
         vecs = [[0.5], [1.0], [1.5]]
-        bounds = [WeightBounds(0, 2)]
+        bounds = WeightBounds(0, 2)
         singles, triples = [], []
         for s in range(60):
             singles.append(qagg.aggregate(vecs, bounds, cfg, DEPOL, seed_key=(s, 0)).vector[0])
@@ -317,7 +330,7 @@ class TestReplicatedAggregate:
     def test_rejects_zero_servers(self):
         cfg = qagg.AggregationConfig()
         with pytest.raises(ValueError):
-            qagg.replicated_aggregate([[1.0]], [WeightBounds(0, 2)], cfg, NOISELESS, 0)
+            qagg.replicated_aggregate([[1.0]], WeightBounds(0, 2), cfg, NOISELESS, 0)
 
 
 class TestVarianceBound:
@@ -347,7 +360,7 @@ class TestEmpiricalVariance:
         trials = 2000
         variances = []
         for d in (1, 3, 5, 7, 9):
-            result = qagg.aggregate(np.full((d, trials), 0.6), [WeightBounds(0.0, HALF_PI)] * trials, cfg, noise)
+            result = qagg.aggregate(np.full((d, trials), 0.6), WeightBounds(0.0, HALF_PI), cfg, noise)
             variances.append(np.var(result.vector, ddof=1))
         assert all(a < b for a, b in zip(variances, variances[1:]))
 
