@@ -180,7 +180,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, _overrides(args))
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,13 @@ class ConfigError(ValueError):
     """Raised with the offending key path on schema violations."""
 
 
-# The flags and limits of qagg's aggregation; defined here so that parsing a
+# The settings and limits of qagg's aggregation; defined here so that parsing a
 # config does not import the aggregation engine.
-MITIGATION_FLAGS = frozenset({"measurement_averaging", "channel_inversion", "calibration"})
+MITIGATIONS = ("none", "channel_inversion", "calibration")  # how nrqfl corrects each circuit's <Z>
 MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
-DEFAULT_MITIGATION = ("measurement_averaging", "channel_inversion", "calibration")
 STRATEGIES = ("fedavg", "qfl", "nrqfl")  # a strategy's index here keys its shot and entropy streams
 ENTROPY_FLOOR = 1e-3  # smallest P(1) or P(0) of the selection entropy circuit a run draws from
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
@@ -60,6 +59,15 @@ def group_depths(n: int) -> list:
     """The distinct values of group_sizes(n), deepest first, without building that list."""
     _, base, extra = _split(n)
     return [base + 1, base] if extra else [base]
+
+
+def depol_attenuation(noise: NoiseModel, depth: int) -> float:
+    """(1 - 4p/3)^depth, the depolarizing attenuation both mitigations undo; a ConfigError below INVERSION_FLOOR."""
+    attenuation = noise.depol_factor ** depth
+    if attenuation < INVERSION_FLOOR:
+        raise ConfigError(f"noise.p_depol = {noise.p_depol} attenuates depth-{depth} nrqfl circuits by "
+                          f"(1 - 4p/3)^{depth} = {attenuation:.3g} < {INVERSION_FLOOR}; mitigation cannot undo that")
+    return attenuation
 
 
 def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> tuple:
@@ -119,7 +127,7 @@ class ExperimentConfig:
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(p_depol=0.05, gamma=0.03))
     shots: int = 4096
     repeats: int = 3
-    mitigation: tuple = DEFAULT_MITIGATION
+    mitigation: str = "calibration"
     n_servers: int = 1
     selection_m: int | None = None
     fixed_weight_bound: float = 4.0
@@ -152,10 +160,9 @@ class ExperimentConfig:
             raise ConfigError(f"strategies must be a non-empty list of distinct names from {'/'.join(STRATEGIES)}, "
                               f"got {strategies}")
         object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "mitigation", tuple(self.mitigation))
-        unknown = [m for m in self.mitigation if not isinstance(m, str) or m not in MITIGATION_FLAGS]
-        if unknown:
-            raise ConfigError(f"mitigation has unknown flags {unknown}; choose from {sorted(MITIGATION_FLAGS)}")
+        if self.mitigation not in MITIGATIONS:
+            raise ConfigError(f"mitigation must be one of {', '.join(MITIGATIONS)} (measurement averaging is set "
+                              f"by repeats alone), got {self.mitigation!r}")
         for name in ("exact_expectation", "record_timing"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -170,15 +177,10 @@ class ExperimentConfig:
             if m < self.n_clients and not ENTROPY_FLOOR <= EntropySource(self.noise, seed=0).p1 <= 1 - ENTROPY_FLOOR:
                 raise ConfigError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of "
                                   "0 or 1, so it yields almost no random bits")
-        if "nrqfl" in strategies and {"calibration", "channel_inversion"} & set(self.mitigation):
-            # both mitigations divide a depth-d circuit's <Z> by about (1 - 4p/3)^d
+        if "nrqfl" in strategies and self.mitigation != "none":
             for d in group_depths(self.n_clients if m is None else m):
-                attenuation = self.noise.depol_factor ** d
-                if attenuation < INVERSION_FLOOR:
-                    raise ConfigError(
-                        f"noise.p_depol = {self.noise.p_depol} attenuates depth-{d} nrqfl circuits by "
-                        f"(1 - 4p/3)^{d} = {attenuation:.3g} < {INVERSION_FLOOR}; mitigation cannot undo that")
-                if "calibration" in self.mitigation:
+                depol_attenuation(self.noise, d)
+                if self.mitigation == "calibration":
                     try:
                         fit_calibration(self.noise, d)
                     except ValueError as exc:
@@ -191,7 +193,6 @@ class ExperimentConfig:
         n = d.pop("noise")
         d["noise"] = {"p_depol": n.p_depol, "p_deph": n.p_deph, "gamma": n.gamma, "readout_flip": n.readout_flip}
         d["strategies"] = list(self.strategies)
-        d["mitigation"] = list(self.mitigation)
         return d
 
 
@@ -212,9 +213,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     raise ConfigError(f"unknown config key: noise.{nk}")
             _check_noise(value)
             kwargs["noise"] = NoiseModel(**value)
-        elif key in ("strategies", "mitigation"):
+        elif key == "strategies":
             if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{key} must be a list")
+                raise ConfigError("strategies must be a list")
             kwargs[key] = tuple(value)
         else:
             kwargs[key] = value

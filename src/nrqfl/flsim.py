@@ -302,12 +302,11 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds: WeightBounds)
 
 def aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
     """The aggregation knobs a quantum strategy's rounds run with."""
-    mitigation = frozenset(cfg.mitigation) if strategy == "nrqfl" else frozenset()
-    repeats = cfg.repeats if strategy == "nrqfl" else 1
+    nrqfl = strategy == "nrqfl"
     return qagg.AggregationConfig(
         shots=cfg.shots,
-        repeats=repeats,
-        mitigation=mitigation,
+        repeats=cfg.repeats if nrqfl else 1,
+        mitigation=cfg.mitigation if nrqfl else "none",
         exact_expectation=cfg.exact_expectation,
     )
 

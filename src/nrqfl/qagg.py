@@ -12,12 +12,12 @@ circuit's state matrix is built, for sampled `run_plan` and for tests. The
 per-round noise deviation (`noise_deviation`) is a closed form on the same
 engine's Bloch vectors, so a run builds no state matrix or Kraus channel.
 
-Mitigation layers, selected by flags in AggregationConfig:
-  - measurement_averaging: average <Z> over `repeats` independent executions
-  - channel_inversion:     divide <Z> by (1 - 4p/3)^d (depolarizing, analytic)
-  - calibration:           linear transfer noisy_z = lam * ideal_z + b, fitted
-                           by `config.fit_calibration` once per (noise, depth);
-                           subsumes channel inversion when both flags are set
+Each circuit's <Z> is the mean of AggregationConfig.repeats independent executions;
+AggregationConfig.mitigation, one of `config.MITIGATIONS`, then corrects that mean:
+  - none:              clamp <Z> to [-1, 1]
+  - channel_inversion: divide <Z> by (1 - 4p/3)^d (depolarizing, analytic)
+  - calibration:       invert the linear transfer noisy_z = lam * ideal_z + b,
+                       fitted by `config.fit_calibration` once per (noise, depth)
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import DEFAULT_PROBES, INVERSION_FLOOR, MAX_GROUP, MITIGATION_FLAGS, fit_calibration, fused_gates, group_sizes
+from .config import DEFAULT_PROBES, MAX_GROUP, MITIGATIONS, depol_attenuation, fit_calibration, fused_gates, group_sizes
 from .encode import HALF_PI, WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import (
     DensityMatrix,
@@ -57,7 +57,7 @@ class AggregationConfig:
 
     shots: int = 4096
     repeats: int = 1
-    mitigation: frozenset = frozenset()
+    mitigation: str = "none"
     exact_expectation: bool = False
 
     def __post_init__(self):
@@ -65,10 +65,8 @@ class AggregationConfig:
             raise ValueError("shots must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        unknown = set(self.mitigation) - MITIGATION_FLAGS
-        if unknown:
-            raise ValueError(f"unknown mitigation flags: {sorted(unknown)}")
-        object.__setattr__(self, "mitigation", frozenset(self.mitigation))
+        if self.mitigation not in MITIGATIONS:
+            raise ValueError(f"mitigation must be one of {MITIGATIONS}, got {self.mitigation!r}")
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,7 @@ def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
     """Undo depolarizing attenuation: z -> z / (1 - 4p/3)^d, clamped to [-1, 1] (a float or an array)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    lam_d = noise.depol_factor ** depth
-    if lam_d < INVERSION_FLOOR:
-        raise ValueError(f"attenuation {lam_d:.3g} below {INVERSION_FLOOR}; depth/noise out of mitigable range")
-    return np.clip(raw_z / lam_d, -1.0, 1.0)
+    return np.clip(raw_z / depol_attenuation(noise, depth), -1.0, 1.0)
 
 
 def calibrate(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> TransferFunction:
@@ -261,10 +256,10 @@ def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
     return ones
 
 
-def _mitigate_z(z, mitigation, noise, depth: int):
-    if "calibration" in mitigation:
+def _mitigate_z(z, mitigation: str, noise, depth: int):
+    if mitigation == "calibration":
         return _default_transfer(noise, depth).invert(z)
-    if "channel_inversion" in mitigation:
+    if mitigation == "channel_inversion":
         return mitigate_channel_inversion(z, noise, depth)
     return np.clip(z, -1.0, 1.0)
 
@@ -298,16 +293,15 @@ def aggregate(
 
     clip_count = int(np.sum((vectors < bounds.lo) | (vectors > bounds.hi)))
     angles = normalize(vectors, bounds)
-    repeats = cfg.repeats if "measurement_averaging" in cfg.mitigation else 1
     sizes = group_sizes(n)
     p1 = np.stack([circuit_p1(fused_gates(angles[end - d:end].T), noise) for d, end in zip(sizes, accumulate(sizes))])
     if cfg.exact_expectation:
         z = 1.0 - 2.0 * p1
     else:
-        group, param, rep = np.indices((len(sizes), p, repeats)).reshape(3, -1)
+        group, param, rep = np.indices((len(sizes), p, cfg.repeats)).reshape(3, -1)
         keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
-        ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, repeats).tolist())
-        z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, repeats) / cfg.shots)).sum(axis=2) / repeats
+        ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, cfg.repeats).tolist())
+        z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, cfg.repeats) / cfg.shots)).sum(axis=2) / cfg.repeats
     group_angles = np.stack([z_to_angle(_mitigate_z(z[g], cfg.mitigation, noise, d)) for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
     mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()

@@ -19,7 +19,7 @@ from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import (
     DEFAULT_PROBES,
     INVERSION_FLOOR,
-    MITIGATION_FLAGS,
+    MITIGATIONS,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -104,12 +104,23 @@ class TestParseConfig:
     def test_unmitigable_depolarizing_only_rejected_where_mitigated(self):
         noise = {"p_depol": 0.8}  # 1 - 4p/3 < 0: odd-depth circuits invert the sign of <Z>
         assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.p_depol == 0.8
-        assert config_from_dict({"noise": noise, "mitigation": ["measurement_averaging"]}).noise.p_depol == 0.8
+        assert config_from_dict({"noise": noise, "mitigation": "none"}).noise.p_depol == 0.8
         assert config_from_dict({"noise": noise, "n_clients": 4}).n_clients == 4  # (1 - 4p/3)^4 = 2e-5
         with pytest.raises(ConfigError, match="noise.p_depol"):
             config_from_dict({"noise": noise, "n_clients": 13, "selection_m": 11})  # groups of 6 and 5
         with pytest.raises(ConfigError, match="noise.p_depol"):
             config_from_dict({"noise": {"p_depol": 0.75}, "n_clients": 4})
+
+    def test_flag_list_names_the_one_setting_and_repeats(self):
+        with pytest.raises(ConfigError, match=r"^mitigation must be one of none, channel_inversion, calibration "
+                                              r"\(measurement averaging is set by repeats alone\)"):
+            config_from_dict({"mitigation": ["measurement_averaging", "calibration"]})
+
+    def test_readme_configs_parse(self):
+        blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+        assert len(blocks) >= 2  # the CLI example and the mitigation settings
+        for block in blocks:
+            assert isinstance(config_from_dict(json.loads(block)), ExperimentConfig)
 
     def test_bool_noise_rejected_on_direct_construction(self):
         with pytest.raises(ConfigError, match="noise.p_depol"):
@@ -118,7 +129,7 @@ class TestParseConfig:
     def test_non_positive_calibration_slope_only_rejected_where_calibrated(self):
         noise = {"readout_flip": 0.6}  # a flip above 1/2 turns the fitted slope negative
         assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.readout_flip == 0.6
-        assert config_from_dict({"noise": noise, "mitigation": ["channel_inversion"]}).noise.readout_flip == 0.6
+        assert config_from_dict({"noise": noise, "mitigation": "channel_inversion"}).noise.readout_flip == 0.6
         with pytest.raises(ConfigError, match="noise.readout_flip"):
             config_from_dict({"noise": noise})
         # full dephasing leaves <Z> flat in the ideal value at even depth only
@@ -162,7 +173,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_NAMES = st.sampled_from(("fedavg", "qfl", "nrqfl", *sorted(MITIGATION_FLAGS), "bogus"))
+_NAMES = st.sampled_from(("fedavg", "qfl", "nrqfl", *MITIGATIONS, "bogus"))
 
 
 def _typed_value(key):
@@ -170,8 +181,10 @@ def _typed_value(key):
     default = getattr(_DEFAULTS, key, None)
     if key == "noise":
         return st.dictionaries(st.sampled_from(_NOISE_KEYS + ("typo",)), st.floats(0, 1) | _JSON, max_size=4)
-    if key in ("strategies", "mitigation"):
+    if key == "strategies":
         return st.lists(_NAMES | _JSON, max_size=4)
+    if key == "mitigation":  # a name, or a list: the flag-set format that is now rejected
+        return _NAMES | st.lists(_NAMES | _JSON, max_size=4)
     if key == "selection_m":
         return st.none() | st.integers(0, 20)
     if isinstance(default, bool):
@@ -200,6 +213,7 @@ def test_any_json_object_is_a_config_or_a_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+    assert config_from_dict(cfg.to_dict()) == cfg  # summary.json's config echo parses back to the run's config
 
 
 _SMALL = {"samples_per_client": 12, "test_samples": 20, "rounds": 2}
@@ -250,6 +264,8 @@ def test_cli_import_does_not_load_the_invariant_suite():
     "extra, key",
     [
         ({"mitigation": ["bogus"]}, "mitigation"),
+        ({"mitigation": ["calibration"]}, "mitigation"),
+        ({"mitigation": "bogus"}, "mitigation"),
         ({"seed": "abc"}, "seed"),
         ({"seed": True}, "seed"),
         ({"noise": {"p_depol": True}}, "p_depol"),
@@ -264,7 +280,7 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"class_sep": True}, "class_sep"),
         ({"fixed_weight_bound": "4"}, "fixed_weight_bound"),
         ({"n_clients": 5, "noise": {"p_depol": 0.8}}, "noise.p_depol"),
-        ({"n_clients": 5, "noise": {"p_depol": 0.8}, "mitigation": ["channel_inversion"]}, "noise.p_depol"),
+        ({"n_clients": 5, "noise": {"p_depol": 0.8}, "mitigation": "channel_inversion"}, "noise.p_depol"),
         ({"noise": {"readout_flip": 0.6}, "rounds": 1, "strategies": ["nrqfl"]}, "noise.readout_flip"),
         ({"noise": {"p_deph": 1.0}, "n_clients": 4, "rounds": 1, "strategies": ["nrqfl"]}, "noise.p_deph"),
         ({"noise": {"gamma": 1.0}}, "noise.gamma"),
@@ -280,7 +296,8 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"fixed_weight_bound": 1e308, "samples_per_client": 12, "test_samples": 20, "rounds": 2},
          "fixed_weight_bound"),
     ],
-    ids=["mitigation", "seed-str", "seed-bool", "noise-bool", "noise-str", "exact-str", "timing-int", "dead-entropy",
+    ids=["mitigation", "mitigation-flag-list", "mitigation-bogus", "seed-str", "seed-bool", "noise-bool", "noise-str",
+         "exact-str", "timing-int", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
@@ -460,6 +477,7 @@ class TestCmdSweep:
         ("shots", "1024,inf", "shots"),
         ("depth", "2.5,3", "n_clients"),
         ("depth", "3,4,1", "n_clients"),
+        ("noise", "a,b", "--values"),
     ])
     def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, axis, values, key):
         runs = []
@@ -483,12 +501,13 @@ class TestCmdSweep:
         assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("mitigation, relation", [
-        ([], "equal"),
-        (["channel_inversion"], "greater"),
+        ("none", "equal"),
+        ("channel_inversion", "greater"),
     ], ids=["none", "channel-inversion"])
     def test_nrqfl_variance_goes_through_its_mitigation(self, tmp_path, mitigation, relation):
-        # unmitigated, nrqfl's estimator is qfl's; inverting the channel amplifies its shot noise
-        cfg_path = write_cfg(tmp_path, {"strategies": ["qfl", "nrqfl"], "rounds": 1, "mitigation": mitigation})
+        # on one execution and unmitigated, nrqfl's estimator is qfl's; inverting the channel amplifies its shot noise
+        cfg_path = write_cfg(tmp_path, {"strategies": ["qfl", "nrqfl"], "rounds": 1, "mitigation": mitigation,
+                                        "repeats": 1})
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots",
                      "--values", "512,2048"]) == 0
@@ -503,7 +522,7 @@ class TestCmdSweep:
 
     def test_unmitigated_sweep_needs_no_calibration(self, tmp_path):
         # nothing calibrates, so a readout flip of 1/2 is a valid nrqfl sweep
-        cfg_path = write_cfg(tmp_path, {"strategies": ["nrqfl"], "rounds": 1, "mitigation": [],
+        cfg_path = write_cfg(tmp_path, {"strategies": ["nrqfl"], "rounds": 1, "mitigation": "none",
                                         "noise": {"readout_flip": 0.5}})
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots",
