@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import SUITE_VERSION, flsim, qagg
-from .config import ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
+from .config import STRATEGY_TABLE, ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
 from .encode import HALF_PI, WeightBounds
 
 CSV_HEADER = [f.name for f in fields(flsim.RoundRecord)][:9]  # the schema RoundRecord's docstring names
@@ -82,7 +82,7 @@ def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
     parameter draws its own shots, so each is one independent estimate after
     the repeats, mitigation and server median the strategy applies.
     """
-    if strategy == "fedavg":
+    if not STRATEGY_TABLE[strategy].quantum:
         return 0.0
     trials = 300
     angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)

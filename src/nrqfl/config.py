@@ -7,6 +7,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,23 @@ MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
-STRATEGIES = ("fedavg", "qfl", "nrqfl")  # a strategy's index here keys its shot and entropy streams
+
+
+class Strategy(NamedTuple):
+    """What a strategy's rounds run; STRATEGY_TABLE holds one per strategy name."""
+
+    quantum: bool  # aggregate on the quantum path; else take the classical size-weighted mean
+    adaptive_window: bool  # encode over the round's per-parameter min/max, sent up as 8P bytes; else [-b, b]
+    mitigated: bool  # run cfg.mitigation on the mean of cfg.repeats executions; else "none" on one
+
+
+# the one place a strategy name decides anything; a strategy's index here keys its shot and entropy streams
+STRATEGY_TABLE = {
+    "fedavg": Strategy(quantum=False, adaptive_window=False, mitigated=False),
+    "qfl": Strategy(quantum=True, adaptive_window=False, mitigated=False),
+    "nrqfl": Strategy(quantum=True, adaptive_window=True, mitigated=True),
+}
+STRATEGIES = tuple(STRATEGY_TABLE)
 ENTROPY_FLOOR = 1e-3  # smallest P(1) or P(0) of the selection entropy circuit a run draws from
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
@@ -177,7 +194,7 @@ class ExperimentConfig:
             if m < self.n_clients and not ENTROPY_FLOOR <= EntropySource(self.noise, seed=0).p1 <= 1 - ENTROPY_FLOOR:
                 raise ConfigError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of "
                                   "0 or 1, so it yields almost no random bits")
-        if "nrqfl" in strategies and self.mitigation != "none":
+        if any(STRATEGY_TABLE[s].mitigated for s in strategies) and self.mitigation != "none":
             for d in group_depths(self.n_clients if m is None else m):
                 depol_attenuation(self.noise, d)
                 if self.mitigation == "calibration":

@@ -3,11 +3,8 @@
 The workload is multinomial logistic regression on Gaussian-mixture features
 with Dirichlet label skew, trained with full-batch gradient descent so that
 every inter-strategy difference is attributable to the aggregation step.
-Strategies:
-  fedavg  classical size-weighted mean, no quantum path
-  qfl     quantum aggregation, mitigation off, static weight bounds
-  nrqfl   quantum aggregation with mitigation on and adaptive per-round
-          per-parameter bounds (the accounted metadata overhead)
+What each strategy runs (quantum path, encoding window, mitigation) is one
+row of `config.STRATEGY_TABLE`; this module reads the row, never the name.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qagg, qselect
-from .config import STRATEGIES, ExperimentConfig
+from .config import STRATEGIES, STRATEGY_TABLE, ExperimentConfig
 from .encode import WeightBounds, bounds_from_values, normalize
 from .qcore import NoiseModel
 
@@ -302,11 +299,11 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds: WeightBounds)
 
 def aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
     """The aggregation knobs a quantum strategy's rounds run with."""
-    nrqfl = strategy == "nrqfl"
+    mitigated = STRATEGY_TABLE[strategy].mitigated
     return qagg.AggregationConfig(
         shots=cfg.shots,
-        repeats=cfg.repeats if nrqfl else 1,
-        mitigation=cfg.mitigation if nrqfl else "none",
+        repeats=cfg.repeats if mitigated else 1,
+        mitigation=cfg.mitigation if mitigated else "none",
         exact_expectation=cfg.exact_expectation,
     )
 
@@ -335,27 +332,23 @@ def run_round(
         updates[rows] = local_train(weights, xs, ys, partition.classes, cfg.local_epochs, cfg.lr)
     classical_mean = fedavg_aggregate(updates, sizes)
 
-    epsilon, mean_angle, clip_count = 0.0, 0.0, 0
-    if strategy == "fedavg":
-        new_weights = classical_mean
-    else:
-        if strategy == "qfl":
-            bounds = WeightBounds(-cfg.fixed_weight_bound, cfg.fixed_weight_bound)
-        else:
+    spec = STRATEGY_TABLE[strategy]
+    new_weights, epsilon, mean_angle, clip_count = classical_mean, 0.0, 0.0, 0
+    bytes_up = 8 * p * len(selected)
+    if spec.quantum:
+        if spec.adaptive_window:
             bounds = bounds_from_values(updates)
-        acfg = aggregation_config(cfg, strategy)
+            bytes_up += 8 * p  # float32 (lo, hi) bounds metadata, once per round
+        else:
+            bounds = WeightBounds(-cfg.fixed_weight_bound, cfg.fixed_weight_bound)
         result = qagg.replicated_aggregate(
-            updates, bounds, acfg, cfg.noise, cfg.n_servers,
+            updates, bounds, aggregation_config(cfg, strategy), cfg.noise, cfg.n_servers,
             seed_key=(cfg.seed, STRATEGIES.index(strategy), round_index),
         )
-        new_weights = result.vector
-        clip_count = result.clip_count
+        new_weights, clip_count = result.vector, result.clip_count
         epsilon, mean_angle = _round_epsilon(cfg.noise, updates, bounds)
 
     acc, f1 = evaluate(new_weights, partition.test_features, partition.test_labels, partition.classes)
-    bytes_up = 8 * p * len(selected)
-    if strategy == "nrqfl":
-        bytes_up += 8 * p  # float32 (lo, hi) bounds metadata, once per round
     bytes_down = 8 * p * partition.n_clients
     wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.record_timing else 0
 
@@ -365,22 +358,11 @@ def run_round(
     # weights near the float range train to finite rows whose spread overflows
     if not np.all(np.isfinite([grad_variance, agg_error, epsilon, mean_angle])):
         raise ValueError(WEIGHTS_DIVERGED)
-    record = RoundRecord(
-        round=round_index,
-        strategy=strategy,
-        accuracy=acc,
-        f1=f1,
-        grad_variance=grad_variance,
-        bytes_up=bytes_up,
-        bytes_down=bytes_down,
-        selected=selected,
-        wall_ms=wall_ms,
-        epsilon=epsilon,
-        mean_angle=mean_angle,
-        agg_error=agg_error,
-        clip_count=clip_count,
+    return new_weights, RoundRecord(
+        round=round_index, strategy=strategy, accuracy=acc, f1=f1, grad_variance=grad_variance,
+        bytes_up=bytes_up, bytes_down=bytes_down, selected=selected, wall_ms=wall_ms,
+        epsilon=epsilon, mean_angle=mean_angle, agg_error=agg_error, clip_count=clip_count,
     )
-    return new_weights, record
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -387,6 +387,14 @@ class TestRunExperiment:
         assert all(len(r.selected) == 3 for r in recs)
 
 
+def test_aggregation_config_reads_the_strategy_table():
+    cfg = ExperimentConfig(shots=1000, repeats=5, mitigation="channel_inversion", exact_expectation=True)
+    qfl, nrqfl = (flsim.aggregation_config(cfg, s) for s in ("qfl", "nrqfl"))
+    assert (qfl.repeats, qfl.mitigation) == (1, "none")
+    assert (nrqfl.repeats, nrqfl.mitigation) == (5, "channel_inversion")
+    assert (qfl.shots, qfl.exact_expectation) == (nrqfl.shots, nrqfl.exact_expectation) == (1000, True)
+
+
 class TestRunRoundBatching:
     @pytest.mark.parametrize("strategy", flsim.STRATEGIES)
     @pytest.mark.parametrize("selection_m", [None, 4])

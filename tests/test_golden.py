@@ -1,18 +1,31 @@
-"""Pinned sha256 digests of `nrqfl run` outputs.
+"""Pinned sha256 digests of `nrqfl run` outputs, each beside a readable snapshot.
 
 Refactors of the simulator must keep every number it writes bit-identical, so
 a change that moves any value in `rounds.csv` or `summary.json` fails here
 first. `summary.json` is hashed without `config.out_dir`, the one field that
-depends on where the run writes. The digests were recorded on x86-64 with
-numpy 2.4; a change that moves an output on purpose updates them and says why.
+depends on where the run writes. Beside the digests, each entry pins a
+snapshot of every strategy's `summary.json` totals as exact `repr` values,
+and a failure prints each of them old -> new. The digests were recorded on
+x86-64 with numpy 2.4; a change that moves an output on purpose updates them
+and says why. To print every entry's pins as written below, for pasting:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from nrqfl.cli import main
+
+SNAPSHOT_LINES = (("final_accuracy", "final_f1"), ("mean_agg_error", "mean_epsilon"),
+                  ("total_bytes_up", "total_bytes_down", "total_clipped"))
+SNAPSHOT_FIELDS = sum(SNAPSHOT_LINES, ())
 
 WIDE_LIKE = {
     "n_clients": 40,
@@ -26,12 +39,22 @@ WIDE_LIKE = {
     "rounds": 10,
 }
 
-# name: (config, (sha256 of rounds.csv, sha256 of summary.json without config.out_dir))
+# name: (config, (sha256 of rounds.csv, sha256 of summary.json without config.out_dir),
+#        {strategy: its SNAPSHOT_FIELDS in summary.json})
 GOLDEN = {
     "criterion-10": (
         {"rounds": 8, "seed": 13, "samples_per_client": 100, "test_samples": 200},
         ("5b7c6e82909e1a8c9db53540d764714fb0e7ef7de2b38e7ef962b2b842dbb1bb",
          "dfed669ac3272a2b501a746829d4709c7782959bb0b34a46e1d4eb49786614ed"),
+        {"fedavg": {"final_accuracy": 0.94, "final_f1": 0.9395629512417832,
+                    "mean_agg_error": 0.0, "mean_epsilon": 0.0,
+                    "total_bytes_up": 4800, "total_bytes_down": 4800, "total_clipped": 0},
+         "qfl": {"final_accuracy": 0.91, "final_f1": 0.9094771241830065,
+                 "mean_agg_error": 0.09826208323691805, "mean_epsilon": 0.04074096715899651,
+                 "total_bytes_up": 4800, "total_bytes_down": 4800, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.94, "final_f1": 0.9395629512417832,
+                   "mean_agg_error": 0.0002195868513121741, "mean_epsilon": 0.045121123487081916,
+                   "total_bytes_up": 5760, "total_bytes_down": 4800, "total_clipped": 0}},
     ),
     # nrqfl with shot-stream seed keys of 4 parts: (seed, strategy, round, server)
     "nrqfl-3-servers": (
@@ -39,12 +62,24 @@ GOLDEN = {
          "test_samples": 200},
         ("70a4048453b57d4baf623e929efcade35df4855fac2559f0ec18d86a31338fe6",
          "622beff4142a861ab25e5056855cde2566b567490c9cac3205b02faae18e5b57"),
+        {"nrqfl": {"final_accuracy": 0.895, "final_f1": 0.8956868511113146,
+                   "mean_agg_error": 0.00024341155294778076, "mean_epsilon": 0.04175397852473805,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # a seed above 2**64 splits into three 32-bit words of every shot-stream key
     "multi-word-seed": (
         {"rounds": 6, "seed": 2**64 + 3, "samples_per_client": 100, "test_samples": 200},
         ("8022ffbe87cbcf43a2f69f5c160258f61ce9565ec1367908586c57376ea0dd63",
          "9f6c794f73849f585d0b8c62db2c163ed8c7ac1050d7245e0a421ede2e461b0e"),
+        {"fedavg": {"final_accuracy": 0.955, "final_f1": 0.9544569937633253,
+                    "mean_agg_error": 0.0, "mean_epsilon": 0.0,
+                    "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
+         "qfl": {"final_accuracy": 0.94, "final_f1": 0.9397101449275361,
+                 "mean_agg_error": 0.10681477361129861, "mean_epsilon": 0.04101388502599624,
+                 "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.955, "final_f1": 0.9544569937633253,
+                   "mean_agg_error": 0.0002734516549946069, "mean_epsilon": 0.041684226587678445,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # 9 classes: training's softmax and bias-gradient sums take numpy's pairwise branch (8 classes and up)
     "nine-classes": (
@@ -52,6 +87,15 @@ GOLDEN = {
          "test_samples": 200},
         ("e862c5c3bb73fd406f3ca03fba8d1805c958bc295575898592d19efa54f979ce",
          "31813cf7f6bb054ec5f159d0a8d3464193d313feee8ea6eeeb2d4e94603b0dd9"),
+        {"fedavg": {"final_accuracy": 0.465, "final_f1": 0.41311127144460474,
+                    "mean_agg_error": 0.0, "mean_epsilon": 0.0,
+                    "total_bytes_up": 8640, "total_bytes_down": 8640, "total_clipped": 0},
+         "qfl": {"final_accuracy": 0.345, "final_f1": 0.29305915515245995,
+                 "mean_agg_error": 0.10346968272985631, "mean_epsilon": 0.041020814632297384,
+                 "total_bytes_up": 8640, "total_bytes_down": 8640, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.455, "final_f1": 0.39753829518711775,
+                   "mean_agg_error": 0.000355144535560748, "mean_epsilon": 0.04215050991224123,
+                   "total_bytes_up": 10368, "total_bytes_down": 8640, "total_clipped": 0}},
     ),
     # strategies out of STRATEGIES order: each strategy's streams stay keyed by its STRATEGIES index
     "strategy-order": (
@@ -59,6 +103,15 @@ GOLDEN = {
          "test_samples": 200},
         ("fa1f701266a0467a46e8135be372967b74e2ed4e0ae7fc563d0e441204401c18",
          "25d60f3e6d2d169df2a46d806348fb641a37f2bd8cec2a7dfc552eb76758edaf"),
+        {"nrqfl": {"final_accuracy": 0.905, "final_f1": 0.9045912739168473,
+                   "mean_agg_error": 0.0004395061033990698, "mean_epsilon": 0.044138530483864076,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0},
+         "fedavg": {"final_accuracy": 0.905, "final_f1": 0.9045912739168473,
+                    "mean_agg_error": 0.0, "mean_epsilon": 0.0,
+                    "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
+         "qfl": {"final_accuracy": 0.915, "final_f1": 0.9145561099231805,
+                 "mean_agg_error": 0.1075378864466653, "mean_epsilon": 0.04102485334967847,
+                 "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # a qfl bound narrower than the updates: qfl clips every round (total_clipped 193), so the
     # shared bound's broadcast and clip_count are pinned
@@ -67,6 +120,12 @@ GOLDEN = {
          "samples_per_client": 100, "test_samples": 200},
         ("5bb8768a6ccbac20bbdd5c0c25c219ebd1318b7a3d9e3694e8b64f5d79c56ac6",
          "a4018f93a1e4dc185cd9d73b4154a73144d2df815caae960519f8c2de1dfb16f"),
+        {"qfl": {"final_accuracy": 0.86, "final_f1": 0.8584577883063824,
+                 "mean_agg_error": 0.06772569905627461, "mean_epsilon": 0.04107943953755626,
+                 "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 193},
+         "nrqfl": {"final_accuracy": 0.87, "final_f1": 0.8699872773536895,
+                   "mean_agg_error": 0.0005337172261982587, "mean_epsilon": 0.04641390138489961,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # nrqfl's channel inversion, (1 - 4p/3)^d, on one execution per circuit
     "channel-inversion": (
@@ -74,6 +133,12 @@ GOLDEN = {
          "samples_per_client": 100, "test_samples": 200},
         ("f345719ef685f7724f9794706c8f54bd2aaf29d9d0d4c250e59f5a1aa3cef17d",
          "3362634d2f890abb0de6ef14221ba6ee43fc29f9a8d1076d9922b305f978071f"),
+        {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
+                 "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
+                 "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.92, "final_f1": 0.9195747743541861,
+                   "mean_agg_error": 0.001418661906784753, "mean_epsilon": 0.041034129123855116,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # nrqfl's mean of 5 executions per circuit with no correction: repeats alone sets the averaging
     "averaging-only": (
@@ -81,13 +146,32 @@ GOLDEN = {
          "samples_per_client": 100, "test_samples": 200},
         ("cfc4681eb5d80bb9e4a1de8b0fddf5b29400f0845521fd67a1dcc69ea90b2861",
          "3e2ee8406b5ea4def09714bab1f6c084e61fb25eaa70ded9ee5b25bec9f93d9d"),
+        {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
+                 "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
+                 "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.925, "final_f1": 0.9249412450894617,
+                   "mean_agg_error": 0.0011414884707500507, "mean_epsilon": 0.04103702901894817,
+                   "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     "wide-like": (
         WIDE_LIKE,
         ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
          "518b94dc2537ba3a320b6ce5e7e15e94955b6aab8a84aaf1b5ed61a064dabfb1"),
+        {"fedavg": {"final_accuracy": 0.8483333333333334, "final_f1": 0.8485659358599895,
+                    "mean_agg_error": 0.0, "mean_epsilon": 0.0,
+                    "total_bytes_up": 16000, "total_bytes_down": 64000, "total_clipped": 0},
+         "nrqfl": {"final_accuracy": 0.84, "final_f1": 0.840143924601346,
+                   "mean_agg_error": 0.00025754117407240863, "mean_epsilon": 0.04457969599176448,
+                   "total_bytes_up": 17600, "total_bytes_down": 64000, "total_clipped": 0}},
     ),
 }
+
+
+def run_golden(config, out) -> None:
+    cfg = out.parent / f"{out.name}.json"
+    cfg.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def output_digests(out) -> tuple:
@@ -97,10 +181,59 @@ def output_digests(out) -> tuple:
             hashlib.sha256(json.dumps(summary, indent=2).encode()).hexdigest())
 
 
+def output_snapshot(out) -> dict:
+    blocks = json.loads((out / "summary.json").read_text())["strategies"]
+    return {strategy: {f: block[f] for f in SNAPSHOT_FIELDS} for strategy, block in blocks.items()}
+
+
+def snapshot_changes(old: dict, new: dict) -> str:
+    """Every snapshot field as `strategy.field: old -> new`, a moved one marked with *."""
+    lines = []
+    for strategy in dict.fromkeys([*old, *new]):
+        was, now = old.get(strategy, {}), new.get(strategy, {})
+        for f in SNAPSHOT_FIELDS:
+            mark = "*" if was.get(f) != now.get(f) else " "
+            lines.append(f"{mark} {strategy}.{f}: {was.get(f)!r} -> {now.get(f)!r}")
+    return "\n".join(lines)
+
+
+def format_pins(digests: tuple, snapshot: dict) -> str:
+    """An entry's digests and snapshot, written as GOLDEN writes them."""
+    blocks = []
+    for strategy, fields in snapshot.items():
+        head = f'"{strategy}": {{'
+        rows = (", ".join(f'"{f}": {fields[f]!r}' for f in names) for names in SNAPSHOT_LINES)
+        blocks.append(head + f",\n{' ' * (9 + len(head))}".join(rows) + "}")
+    return f'        ("{digests[0]}",\n         "{digests[1]}"),\n        {{' + ",\n         ".join(blocks) + "},"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_outputs_match_pinned_digests(tmp_path, name):
-    config, digests = GOLDEN[name]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert output_digests(tmp_path / "out") == digests
+    config, digests, snapshot = GOLDEN[name]
+    run_golden(config, tmp_path / "out")
+    new = output_snapshot(tmp_path / "out")
+    assert (new, output_digests(tmp_path / "out")) == (snapshot, digests), \
+        f"{name} moved; its snapshot, old -> new (* moved):\n{snapshot_changes(snapshot, new)}"
+
+
+def test_pins_are_written_as_the_print_command_prints_them():
+    source = Path(__file__).read_text()
+    assert [name for name, (_, digests, snapshot) in GOLDEN.items()
+            if format_pins(digests, snapshot) not in source] == []
+
+
+def test_snapshot_changes_list_every_field_old_to_new():
+    old = {"qfl": dict.fromkeys(SNAPSHOT_FIELDS, 0)}
+    new = {"qfl": {**old["qfl"], "mean_agg_error": 0.5}, "nrqfl": old["qfl"]}
+    lines = snapshot_changes(old, new).splitlines()
+    assert len(lines) == 2 * len(SNAPSHOT_FIELDS)
+    assert [line for line in lines if line.startswith("*")] == (
+        ["* qfl.mean_agg_error: 0 -> 0.5"] + [f"* nrqfl.{f}: None -> 0" for f in SNAPSHOT_FIELDS])
+    assert "  qfl.total_clipped: 0 -> 0" in lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (config, *_) in GOLDEN.items():
+            run_golden(config, Path(tmp) / name)
+            print(f"    # {name}\n{format_pins(output_digests(Path(tmp) / name), output_snapshot(Path(tmp) / name))}")
