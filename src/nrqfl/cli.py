@@ -42,10 +42,19 @@ def _summary(records: list) -> dict:
     }
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    runs = flsim.run_experiment(cfg)
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """cfg.out_dir, created before the first round so that an unusable path costs no run."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {cfg.out_dir!r} cannot be created as a directory: {exc}") from exc
+    return out
+
+
+def cmd_run(cfg: ExperimentConfig) -> int:
+    out = _out_dir(cfg)
+    runs = flsim.run_experiment(cfg)
     with (out / "rounds.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -117,6 +126,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
     if cfg.rounds < 1:
         raise ConfigError(f"rounds must be >= 1 for a sweep, which reports each run's final round; got {cfg.rounds}")
     run_cfgs = [_sweep_config(cfg, axis, value) for value in values]  # every value is checked before any run
+    out = _out_dir(cfg)
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
         depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit
@@ -128,8 +138,6 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
                 _fmt(_sweep_variance(run_cfg, strategy, depth)),
                 s["total_bytes_up"] + s["total_bytes_down"],
             ])
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -94,8 +95,7 @@ def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) 
     a, whose ideal <Z> is cos(2a); all probes run in one `circuit_p1` batch.
     The fit absorbs depolarizing attenuation, amplitude-damping offset and
     readout bias in one linear map. A slope below INVERSION_FLOOR cannot be
-    inverted, so it raises. `qagg.calibrate` and the parse-time check both
-    call this, so a config is rejected exactly when its calibration would fail.
+    inverted, so it raises; `mitigation_transfer` and `qagg.calibrate` call this.
     """
     if not 1 <= depth <= MAX_GROUP:
         raise ValueError(f"calibration depth must be in 1..{MAX_GROUP}, got {depth}")
@@ -109,6 +109,38 @@ def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) 
         raise ValueError(f"calibration fits a slope of {lam_hat:.3g} < {INVERSION_FLOOR} to depth-{depth} "
                          "circuits and cannot invert it")
     return lam_hat, b_hat
+
+
+@dataclass(frozen=True)
+class TransferFunction:
+    """Linear map of ideal <Z> to noisy <Z>, noisy = lam_hat * ideal + b_hat, with lam_hat >= INVERSION_FLOOR."""
+
+    lam_hat: float
+    b_hat: float
+
+    def invert(self, noisy_z):
+        """Estimated ideal <Z> of noisy values (a float or an array), clamped to [-1, 1]."""
+        return np.clip((noisy_z - self.b_hat) / self.lam_hat, -1.0, 1.0)
+
+
+@lru_cache(maxsize=64)
+def mitigation_transfer(mitigation: str, noise: NoiseModel, depth: int) -> TransferFunction:
+    """The transfer of depth-`depth` circuits that `mitigation` inverts: the one place its name decides anything.
+
+    none is the identity, channel_inversion (1 - 4p/3)^d, calibration the `fit_calibration` fit after that
+    attenuation check. The parse check and every round share each cached transfer, so a config is rejected
+    (with a ConfigError) exactly when its rounds would fail.
+    """
+    if mitigation == "none":
+        return TransferFunction(1.0, 0.0)
+    attenuation = depol_attenuation(noise, depth)
+    if mitigation == "channel_inversion":
+        return TransferFunction(attenuation, 0.0)
+    try:
+        return TransferFunction(*fit_calibration(noise, depth))
+    except ValueError as exc:
+        named = ", ".join(f"noise.{k} = {getattr(noise, k)}" for k in _NOISE_KEYS if getattr(noise, k))
+        raise ConfigError(f"under {named}, nrqfl {exc}") from exc
 
 
 def _is_real(v) -> bool:
@@ -194,16 +226,9 @@ class ExperimentConfig:
             if m < self.n_clients and not ENTROPY_FLOOR <= EntropySource(self.noise, seed=0).p1 <= 1 - ENTROPY_FLOOR:
                 raise ConfigError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of "
                                   "0 or 1, so it yields almost no random bits")
-        if any(STRATEGY_TABLE[s].mitigated for s in strategies) and self.mitigation != "none":
+        if any(STRATEGY_TABLE[s].mitigated for s in strategies):
             for d in group_depths(self.n_clients if m is None else m):
-                depol_attenuation(self.noise, d)
-                if self.mitigation == "calibration":
-                    try:
-                        fit_calibration(self.noise, d)
-                    except ValueError as exc:
-                        named = ", ".join(f"noise.{k} = {getattr(self.noise, k)}" for k in _NOISE_KEYS
-                                          if getattr(self.noise, k))
-                        raise ConfigError(f"under {named}, nrqfl {exc}") from exc
+                mitigation_transfer(self.mitigation, self.noise, d)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -12,12 +12,10 @@ circuit's state matrix is built, for sampled `run_plan` and for tests. The
 per-round noise deviation (`noise_deviation`) is a closed form on the same
 engine's Bloch vectors, so a run builds no state matrix or Kraus channel.
 
-Each circuit's <Z> is the mean of AggregationConfig.repeats independent executions;
-AggregationConfig.mitigation, one of `config.MITIGATIONS`, then corrects that mean:
-  - none:              clamp <Z> to [-1, 1]
-  - channel_inversion: divide <Z> by (1 - 4p/3)^d (depolarizing, analytic)
-  - calibration:       invert the linear transfer noisy_z = lam * ideal_z + b,
-                       fitted by `config.fit_calibration` once per (noise, depth)
+Each circuit's <Z> is the mean of AggregationConfig.repeats independent
+executions. `aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
+that `config.mitigation_transfer` maps AggregationConfig.mitigation to, once
+per (noise, depth), and clamps the result to [-1, 1].
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import DEFAULT_PROBES, MAX_GROUP, MITIGATIONS, depol_attenuation, fit_calibration, fused_gates, group_sizes
+from .config import (DEFAULT_PROBES, MAX_GROUP, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
+                     group_sizes, mitigation_transfer)
 from .encode import HALF_PI, WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import (
     DensityMatrix,
@@ -82,22 +81,6 @@ class CircuitPlan:
         if not 1 <= self.depth <= MAX_GROUP:
             raise ValueError(f"circuit depth must be in 1..{MAX_GROUP}, got {self.depth}; "
                              "more clients split into groups")
-
-
-@dataclass(frozen=True)
-class TransferFunction:
-    """Fitted linear map of ideal <Z> to noisy <Z>."""
-
-    lam_hat: float
-    b_hat: float
-
-    def __post_init__(self):
-        if self.lam_hat <= 0.0:
-            raise ValueError("fitted attenuation must be positive")
-
-    def invert(self, noisy_z):
-        """Estimated ideal <Z> of noisy values (a float or an array), clamped to [-1, 1]."""
-        return np.clip((noisy_z - self.b_hat) / self.lam_hat, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,22 +138,9 @@ def run_plan(
     return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1)
 
 
-def mitigate_channel_inversion(raw_z, noise: NoiseModel, depth: int):
-    """Undo depolarizing attenuation: z -> z / (1 - 4p/3)^d, clamped to [-1, 1] (a float or an array)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    return np.clip(raw_z / depol_attenuation(noise, depth), -1.0, 1.0)
-
-
 def calibrate(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> TransferFunction:
-    """The transfer function `config.fit_calibration` fits to depth-`depth` circuits."""
+    """The transfer `fit_calibration` fits to depth-`depth` circuits; rounds take `mitigation_transfer`'s cached fit."""
     return TransferFunction(*fit_calibration(noise, depth, probe_angles))
-
-
-@lru_cache(maxsize=64)
-def _default_transfer(noise: NoiseModel, depth: int) -> TransferFunction:
-    """`calibrate(noise, depth)` with its default exact probes: deterministic, so fitted once."""
-    return calibrate(noise, depth)
 
 
 @lru_cache(maxsize=None)
@@ -256,14 +226,6 @@ def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
     return ones
 
 
-def _mitigate_z(z, mitigation: str, noise, depth: int):
-    if mitigation == "calibration":
-        return _default_transfer(noise, depth).invert(z)
-    if mitigation == "channel_inversion":
-        return mitigate_channel_inversion(z, noise, depth)
-    return np.clip(z, -1.0, 1.0)
-
-
 def aggregate(
     client_vectors,
     bounds: WeightBounds,
@@ -274,7 +236,8 @@ def aggregate(
     """Quantum-aggregate N client parameter vectors into their (uniform) mean.
 
     normalize -> per client group, P(1) of the circuits of all P parameters in
-    one `circuit_p1` call -> sample (with repeats) -> mitigate -> decode ->
+    one `circuit_p1` call -> sample (with repeats) -> invert the group depth's
+    `mitigation_transfer` -> decode ->
     size-weighted mean over groups -> denormalize. Groups of more than 9
     clients are combined by that classical mean. Each (parameter, group,
     repeat) draws its shots from its own RNG stream keyed by
@@ -302,7 +265,8 @@ def aggregate(
         keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
         ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, cfg.repeats).tolist())
         z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, cfg.repeats) / cfg.shots)).sum(axis=2) / cfg.repeats
-    group_angles = np.stack([z_to_angle(_mitigate_z(z[g], cfg.mitigation, noise, d)) for g, d in enumerate(sizes)])
+    group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
+                             for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
     mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()
     return AggregateResult(vector=denormalize(mean_angle, bounds), clip_count=clip_count)

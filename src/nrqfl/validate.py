@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qagg, qselect
+from .config import mitigation_transfer
 from .encode import decode_exact, encode
 from .qcore import (
     DensityMatrix,
@@ -248,7 +249,7 @@ def check_mitigation_efficacy() -> CheckResult:
         plan = qagg.build_plan(angles)
         true_mean = float(np.mean(angles))
         est = qagg.run_plan(plan, noise, 1, None, exact=True)
-        z_mit = qagg.mitigate_channel_inversion(est.z_raw, noise, plan.depth)
+        z_mit = mitigation_transfer("channel_inversion", noise, plan.depth).invert(est.z_raw)
         mitigated = math.asin(math.sqrt((1 - z_mit) / 2))
         worst_mit = max(worst_mit, abs(mitigated - true_mean))
         if abs(est.value - true_mean) <= abs(mitigated - true_mean):

@@ -16,7 +16,7 @@ from scipy import stats
 
 from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
-from nrqfl.config import ExperimentConfig
+from nrqfl.config import ExperimentConfig, mitigation_transfer
 from nrqfl.encode import HALF_PI, encode
 from nrqfl.qcore import (
     NoiseModel,
@@ -108,7 +108,7 @@ def test_criterion_7_mitigation_efficacy():
         plan = qagg.build_plan(angles)
         true_mean = float(np.mean(angles))
         est = qagg.run_plan(plan, noise, 1, None, exact=True)
-        z = qagg.mitigate_channel_inversion(est.z_raw, noise, plan.depth)
+        z = mitigation_transfer("channel_inversion", noise, plan.depth).invert(est.z_raw)
         worst_mitigated = max(worst_mitigated, abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean))
         min_raw = min(min_raw, abs(est.value - true_mean))
     # sampled pipeline at 1e5 shots: mitigated error < 0.02 rad in >= 95/100 seeds
@@ -122,7 +122,7 @@ def test_criterion_7_mitigation_efficacy():
     p1 = prob_one(state)
     for seed in range(100):
         ones = np.random.default_rng(seed).binomial(10**5, p1)
-        z = qagg.mitigate_channel_inversion(1 - 2 * ones / 10**5, noise, plan.depth)
+        z = mitigation_transfer("channel_inversion", noise, plan.depth).invert(1 - 2 * ones / 10**5)
         if abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean) < 0.02:
             hits += 1
     ok = worst_mitigated < 1e-6 and min_raw > 0 and hits >= 95

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nrqfl import cli, flsim, qagg
+from nrqfl import cli, config, flsim, qagg
 from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import (
     DEFAULT_PROBES,
@@ -26,6 +26,7 @@ from nrqfl.config import (
     fit_calibration,
     group_depths,
     group_sizes,
+    mitigation_transfer,
     parse_config,
 )
 from nrqfl.encode import HALF_PI, WeightBounds, angle_to_z
@@ -53,6 +54,22 @@ def partition_builds(monkeypatch):
     built, make = [], flsim.make_partition
     monkeypatch.setattr(flsim, "make_partition", lambda *a, **k: built.append(a) or make(*a, **k))
     return built
+
+
+@pytest.fixture(params=["under-a-file", "a-file"])
+def unusable_out(request, tmp_path):
+    """An --out path that cannot be made a directory: one below a regular file, or that file itself."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    return afile / "sub" if request.param == "under-a-file" else afile
+
+
+@pytest.fixture
+def round_runs(monkeypatch):
+    """Every config `flsim.run_experiment` is called with."""
+    runs, run = [], flsim.run_experiment
+    monkeypatch.setattr(flsim, "run_experiment", lambda cfg: runs.append(cfg) or run(cfg))
+    return runs
 
 
 def write_cfg(tmp_path, extra=None):
@@ -137,22 +154,50 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="noise.p_deph"):
             config_from_dict({"noise": {"p_deph": 1.0}, "n_clients": 13, "selection_m": 11})  # depths 6 and 5
 
-    def test_calibration_check_agrees_with_calibrate(self):
-        # includes slopes that are 0 up to rounding: flip 1/2, full dephasing at even depth, full damping
-        grid = itertools.product((0.0, 0.05), (0.0, 0.5, 1.0), (0.0, 0.03, 1.0), (0.0, 0.5, 0.6, 1.0), (1, 2, 5, 6, 9))
-        outcomes = set()
+    def test_calibration_check_agrees_with_calibrate(self, tmp_path, capsys):
+        # includes slopes that are 0 up to rounding: flip 1/2, full dephasing at even depth, full damping;
+        # p_depol = 0.75 zeroes the attenuation (1 - 4p/3)^d that channel inversion and calibration divide by
+        grid = itertools.product((0.0, 0.05, 0.75), (0.0, 0.5, 1.0), (0.0, 0.03, 1.0), (0.0, 0.5, 0.6, 1.0),
+                                 (1, 2, 5, 6, 9))
+        z = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 2.0, -7.0, 5e-324, -5e-324, np.inf, -np.inf],
+                            np.random.default_rng(0).uniform(-1.5, 1.5, size=200)])
+        outcomes = {m: set() for m in MITIGATIONS}
         for p_depol, p_deph, gamma, flip, depth in grid:
             noise = NoiseModel(p_depol=p_depol, p_deph=p_deph, gamma=gamma, readout_flip=flip)
+            attenuation = (1.0 - 4.0 * p_depol / 3.0) ** depth
             lam_hat, b_hat = reference_calibration(noise, depth)
-            outcomes.add(lam_hat >= INVERSION_FLOOR)
-            if lam_hat >= INVERSION_FLOOR:
-                assert fit_calibration(noise, depth) == (lam_hat, b_hat)
-                assert qagg.calibrate(noise, depth) == qagg.TransferFunction(lam_hat, b_hat)
-            else:
-                for fit in (fit_calibration, qagg.calibrate):
-                    with pytest.raises(ValueError, match="cannot invert"):
-                        fit(noise, depth)
-        assert outcomes == {True, False}
+            if attenuation >= INVERSION_FLOOR:
+                if lam_hat >= INVERSION_FLOOR:
+                    assert fit_calibration(noise, depth) == (lam_hat, b_hat)
+                    assert qagg.calibrate(noise, depth) == qagg.TransferFunction(lam_hat, b_hat)
+                else:
+                    for fit in (fit_calibration, qagg.calibrate):
+                        with pytest.raises(ValueError, match="cannot invert"):
+                            fit(noise, depth)
+            # the formulas each mitigation applied before it was a transfer; None where it cannot invert
+            formulas = {
+                "none": lambda v: np.clip(v, -1.0, 1.0),
+                "channel_inversion": (lambda v: np.clip(v / attenuation, -1.0, 1.0))
+                if attenuation >= INVERSION_FLOOR else None,
+                "calibration": (lambda v: np.clip((v - b_hat) / lam_hat, -1.0, 1.0))
+                if attenuation >= INVERSION_FLOOR and lam_hat >= INVERSION_FLOOR else None,
+            }
+            for mitigation, formula in formulas.items():
+                outcomes[mitigation].add(formula is not None)
+                if formula is not None:
+                    assert mitigation_transfer(mitigation, noise, depth).invert(z).tobytes() == formula(z).tobytes()
+                    continue
+                with pytest.raises(ConfigError) as run_error:
+                    mitigation_transfer(mitigation, noise, depth)
+                # nrqfl runs one depth-d group: all d clients, or d of two selected
+                cfg_path = write_cfg(tmp_path, {"noise": asdict(noise), "mitigation": mitigation, "rounds": 1,
+                                                "n_clients": max(depth, 2), "selection_m": depth})
+                out = tmp_path / "never"
+                assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"config error: {run_error.value}\n" or "selection entropy circuit" in err
+                assert not out.exists()
+        assert outcomes == {"none": {True}, "channel_inversion": {True, False}, "calibration": {True, False}}
 
     def test_out_dir_must_be_a_string(self):
         with pytest.raises(ConfigError, match="out_dir"):
@@ -358,6 +403,25 @@ class TestCmdRun:
         assert "training weights diverged; reduce the learning rate" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
 
+    def test_unusable_out_dir_exits_2_before_any_round(self, tmp_path, capsys, unusable_out, round_runs):
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(unusable_out)]) == 2
+        assert f"config error: out_dir {str(unusable_out)!r}" in capsys.readouterr().err
+        assert round_runs == []
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("extra, depths", [({}, [5]), ({"n_clients": 11}, [6, 5])], ids=["default", "two-depths"])
+    def test_one_calibration_fit_per_depth(self, tmp_path, monkeypatch, extra, depths):
+        # the parse check and every nrqfl round share one cached fit per depth, whichever module would fit it
+        calls, fit = [], config.fit_calibration
+        for module in (config, qagg):
+            monkeypatch.setattr(module, "fit_calibration", lambda noise, depth, *probes: calls.append(depth)
+                                or fit(noise, depth, *probes))
+        mitigation_transfer.cache_clear()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rounds": 3, **extra}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == depths
+
     def test_huge_class_sep_exits_3_naming_it(self, tmp_path, capsys):
         # the features' scale overflows the logits, so the divergence names class_sep as well as lr
         cfg_path = write_cfg(tmp_path, {"class_sep": 1e155, "samples_per_client": 12, "test_samples": 20, "rounds": 2})
@@ -426,6 +490,14 @@ class TestCmdSweep:
         assert main(["sweep", "--config", str(write_cfg(tmp_path, {"rounds": 1})), "--out", str(tmp_path / "out"),
                      "--axis", "shots", "--values", "512,1024,2048"]) == 0
         assert len(partition_builds) == 3
+
+    def test_unusable_out_dir_exits_2_before_any_run(self, tmp_path, capsys, unusable_out, round_runs):
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(unusable_out),
+                     "--axis", "shots", "--values", "512,1024"])
+        assert code == 2
+        assert f"config error: out_dir {str(unusable_out)!r}" in capsys.readouterr().err
+        assert round_runs == []
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_single_value_rejected(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

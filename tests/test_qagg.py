@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nrqfl import qagg
+from nrqfl import config, qagg
+from nrqfl.config import depol_attenuation, mitigation_transfer
 from nrqfl.encode import HALF_PI, WeightBounds, denormalize, normalize
 from nrqfl.qcore import (
     NoiseModel,
@@ -52,7 +53,7 @@ def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
             if cfg.mitigation == "calibration":
                 z = qagg.calibrate(noise, plan.depth).invert(z)
             elif cfg.mitigation == "channel_inversion":
-                z = qagg.mitigate_channel_inversion(z, noise, plan.depth)
+                z = np.clip(z / depol_attenuation(noise, plan.depth), -1.0, 1.0)
             z = min(max(float(z), -1.0), 1.0)
             group_angles.append(math.asin(math.sqrt((1.0 - z) / 2.0)))
         out[j] = denormalize(float(np.average(group_angles, weights=[len(g) for g in groups])), b)
@@ -114,22 +115,26 @@ class TestRunPlan:
         assert abs(a.value - b.value) < 4 * 2 / (2 * math.sqrt(shots))
 
 
+def invert_channel(z, noise, depth):
+    return mitigation_transfer("channel_inversion", noise, depth).invert(z)
+
+
 class TestChannelInversion:
     def test_zero_noise_identity(self):
-        assert qagg.mitigate_channel_inversion(0.42, NOISELESS, 5) == pytest.approx(0.42)
+        assert invert_channel(0.42, NOISELESS, 5) == pytest.approx(0.42)
 
     def test_recovers_attenuated_value(self):
         z = 0.6
         lam3 = (1 - 4 * 0.05 / 3) ** 3
-        assert qagg.mitigate_channel_inversion(lam3 * z, DEPOL, 3) == pytest.approx(z, abs=1e-9)
+        assert invert_channel(lam3 * z, DEPOL, 3) == pytest.approx(z, abs=1e-9)
 
     def test_clamp_boundary(self):
-        assert qagg.mitigate_channel_inversion(1.0, DEPOL, 3) == 1.0
+        assert invert_channel(1.0, DEPOL, 3) == 1.0
 
     def test_ill_conditioned_depth(self):
         # the parse-time check and the mitigation share this rule and its message
         with pytest.raises(ValueError, match=r"noise\.p_depol = 0\.74 attenuates depth-100 .* mitigation cannot undo"):
-            qagg.mitigate_channel_inversion(0.1, NoiseModel(p_depol=0.74), 100)
+            invert_channel(0.1, NoiseModel(p_depol=0.74), 100)
 
 
 class TestCalibrate:
@@ -278,21 +283,21 @@ class TestShotStreams:
 
 class TestCalibrationCache:
     def test_cached_fit_equals_fresh_fit_per_noise_and_depth(self):
-        qagg._default_transfer.cache_clear()
+        mitigation_transfer.cache_clear()
         fits = {}
         for noise in (DEPOL, ALL_NOISE):
             for d in (3, 5):
-                fits[noise, d] = qagg._default_transfer(noise, d)
+                fits[noise, d] = mitigation_transfer("calibration", noise, d)
                 assert fits[noise, d] == qagg.calibrate(noise, d)
-                assert qagg._default_transfer(noise, d) is fits[noise, d]
+                assert mitigation_transfer("calibration", noise, d) is fits[noise, d]
         assert len(set(fits.values())) == 4
-        assert qagg._default_transfer.cache_info().misses == 4
+        assert mitigation_transfer.cache_info().misses == 4
 
     def test_aggregate_fits_once_per_depth(self, monkeypatch):
         calls = []
-        real = qagg.calibrate
-        monkeypatch.setattr(qagg, "calibrate", lambda noise, depth: calls.append(depth) or real(noise, depth))
-        qagg._default_transfer.cache_clear()
+        real = config.fit_calibration
+        monkeypatch.setattr(config, "fit_calibration", lambda noise, depth: calls.append(depth) or real(noise, depth))
+        mitigation_transfer.cache_clear()
         cfg = qagg.AggregationConfig(shots=300, mitigation="calibration")
         vecs = np.random.default_rng(23).uniform(-1.0, 1.0, size=(11, 2))  # groups of 6 and 5
         for key in range(3):
