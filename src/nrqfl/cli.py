@@ -42,18 +42,24 @@ def _summary(records: list) -> dict:
     }
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """cfg.out_dir, created before the first round so that an unusable path costs no run."""
+def _out_dir(cfg: ExperimentConfig, *names: str) -> Path:
+    """cfg.out_dir, created before the first round so that an unusable path costs no run.
+
+    Each output file `names` there must be absent or a regular file, which the run overwrites.
+    """
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out_dir {cfg.out_dir!r} cannot be created as a directory: {exc}") from exc
+    for name in names:
+        if (out / name).exists() and not (out / name).is_file():
+            raise ConfigError(f"out_dir {cfg.out_dir!r} holds {name!r}, which is not a regular file to write over")
     return out
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, "rounds.csv", "summary.json")
     runs = flsim.run_experiment(cfg)
     with (out / "rounds.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -126,7 +132,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
     if cfg.rounds < 1:
         raise ConfigError(f"rounds must be >= 1 for a sweep, which reports each run's final round; got {cfg.rounds}")
     run_cfgs = [_sweep_config(cfg, axis, value) for value in values]  # every value is checked before any run
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, "sweep.csv")
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
         depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit

@@ -1,4 +1,4 @@
-"""Quantum aggregation: circuit planning, noisy execution, and mitigation.
+"""Quantum aggregation: noisy execution of fused circuits, and mitigation.
 
 Client angles are fused on a single qubit by composing Ry(2*a_k/N) rotations
 (`config.fused_gates`); about a common axis these add, so the noiseless
@@ -6,11 +6,11 @@ circuit prepares exactly the state encoding mean(a). One noise-channel pass
 per gate defines the circuit depth d used by the variance bound. More than 9 clients are split into groups
 of <= 9 (depth stays below 10) whose results are combined by a size-weighted
 classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
-`aggregate` takes the circuits of all parameters of a group in one call, and
-`build_plan` / `run_plan` run one circuit. `simulate_plan` is the one place a
-circuit's state matrix is built, for sampled `run_plan` and for tests. The
+`aggregate` takes the circuits of all parameters of a group in one call. The
 per-round noise deviation (`noise_deviation`) is a closed form on the same
 engine's Bloch vectors, so a run builds no state matrix or Kraus channel.
+`run_plan` runs one circuit's gate array, and `simulate_plan` builds its
+state matrix; only the test oracles call them.
 
 Each circuit's <Z> is the mean of AggregationConfig.repeats independent
 executions. `aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
@@ -69,21 +69,6 @@ class AggregationConfig:
 
 
 @dataclass(frozen=True)
-class CircuitPlan:
-    """Ordered single-qubit Ry gate angles with a noise pass after each gate."""
-
-    gates: tuple
-    depth: int
-
-    def __post_init__(self):
-        if self.depth != len(self.gates):
-            raise ValueError("depth must equal the gate count")
-        if not 1 <= self.depth <= MAX_GROUP:
-            raise ValueError(f"circuit depth must be in 1..{MAX_GROUP}, got {self.depth}; "
-                             "more clients split into groups")
-
-
-@dataclass(frozen=True)
 class AggregateEstimate:
     """Single-circuit estimate in angle units."""
 
@@ -99,40 +84,29 @@ class AggregateResult:
     clip_count: int
 
 
-def build_plan(angles) -> CircuitPlan:
-    """Sequential Ry(2*a_k/N) gates whose noiseless product encodes mean(a)."""
-    angles = tuple(float(a) for a in angles)
-    if not angles:
-        raise ValueError("cannot aggregate an empty client set")
-    for a in angles:
-        if not 0.0 <= a <= HALF_PI + 1e-12:
-            raise ValueError(f"angle {a} outside [0, pi/2]")
-    return CircuitPlan(tuple(float(g) for g in fused_gates(angles)), depth=len(angles))
-
-
-def simulate_plan(plan: CircuitPlan, noise: NoiseModel) -> DensityMatrix:
-    """Deterministic pre-measurement state: alternate gates and noise passes."""
-    x, z = (float(v) for v in circuit_bloch(plan.gates, noise))
+def simulate_plan(gates, noise: NoiseModel) -> DensityMatrix:
+    """Deterministic pre-measurement state of one circuit's Ry gate angles, each followed by a noise pass."""
+    x, z = (float(v) for v in circuit_bloch(gates, noise))
     return DensityMatrix(np.array([[(1.0 + z) / 2.0, x / 2.0], [x / 2.0, (1.0 - z) / 2.0]], dtype=complex))
 
 
 def run_plan(
-    plan: CircuitPlan,
+    gates,
     noise: NoiseModel,
     shots: int,
     rng: np.random.Generator | None,
     exact: bool = False,
 ) -> AggregateEstimate:
-    """Execute the plan and decode the raw (pre-mitigation) angle estimate.
+    """Execute one circuit's gate angles and decode the raw (pre-mitigation) angle estimate.
 
     With exact=True the infinite-shot expectation is used instead of sampling.
     """
     if exact:
-        p1 = float(circuit_p1(plan.gates, noise))
+        p1 = float(circuit_p1(gates, noise))
     else:
         if rng is None:
             raise ValueError("sampled execution needs an RNG stream")
-        zeros, ones = sample_measurement(simulate_plan(plan, noise), 0, shots, rng, noise.readout_flip)
+        zeros, ones = sample_measurement(simulate_plan(gates, noise), 0, shots, rng, noise.readout_flip)
         p1 = ones / shots
     angle = math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
     return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1)
@@ -296,20 +270,20 @@ def variance_bound(shots: int, n_clients: int, depth: int, sigma_gate: float) ->
 
 
 def empirical_variance(
-    plan: CircuitPlan,
+    gates,
     noise: NoiseModel,
     shots: int,
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    """Sample variance of the raw decoded angle over `trials` independent `shots`-shot executions.
+    """Sample variance of one circuit's raw decoded angle over `trials` independent `shots`-shot executions.
 
     The pre-measurement state is deterministic, so only measurement sampling
     is repeated (vectorized over trials).
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    ones = rng.binomial(shots, float(circuit_p1(plan.gates, noise)), size=trials)
+    ones = rng.binomial(shots, float(circuit_p1(gates, noise)), size=trials)
     angles = np.arcsin(np.sqrt(ones / shots))
     return float(np.var(angles, ddof=1))
 
@@ -331,9 +305,8 @@ def fit_sigma_gate(
     for d in depths:
         for s in shot_grid:
             angles = rng.uniform(0.05, HALF_PI - 0.05, size=d)
-            plan = build_plan(angles)
-            ev = empirical_variance(plan, noise, s, trials, rng)
-            # single-group plans have N = d, so the gate term of the bound is
+            ev = empirical_variance(fused_gates(angles), noise, s, trials, rng)
+            # single-group circuits have N = d, so the gate term of the bound is
             # sigma_gate^2 exactly; the excess over the shot term calibrates it
             worst = max(worst, ev - SIGMA_SHOT**2 / (d * s))
     return math.sqrt(SIGMA_GATE_SAFETY * worst) if worst > 0 else 0.0

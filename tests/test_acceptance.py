@@ -16,7 +16,7 @@ from scipy import stats
 
 from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
-from nrqfl.config import ExperimentConfig, mitigation_transfer
+from nrqfl.config import ExperimentConfig, fused_gates, mitigation_transfer
 from nrqfl.encode import HALF_PI, encode
 from nrqfl.qcore import (
     NoiseModel,
@@ -83,10 +83,10 @@ def test_criterion_4_theorem1_noise_bound():
 
 def test_criterion_5_theorem2_bound_soundness():
     t0 = time.perf_counter()
-    result = validate.check_theorem2_bound(seed=3, fit_seed=2, configs=1000, trials=300)
-    plan = qagg.build_plan([0.3, 0.5, 0.7, 0.9, 1.1])
-    v1 = qagg.empirical_variance(plan, DEFAULT_NOISE, 2048, 500, np.random.default_rng(4))
-    v4 = qagg.empirical_variance(plan, DEFAULT_NOISE, 8192, 500, np.random.default_rng(5))
+    result = validate.check_theorem2_bound_soundness(seed=3, fit_seed=2, configs=1000, trials=300)
+    gates = fused_gates([0.3, 0.5, 0.7, 0.9, 1.1])
+    v1 = qagg.empirical_variance(gates, DEFAULT_NOISE, 2048, 500, np.random.default_rng(4))
+    v4 = qagg.empirical_variance(gates, DEFAULT_NOISE, 8192, 500, np.random.default_rng(5))
     ratio = v1 / v4
     elapsed = time.perf_counter() - t0
     report_checks(5, [result], 3.0 <= ratio <= 5.0 and elapsed < 300,
@@ -105,24 +105,22 @@ def test_criterion_7_mitigation_efficacy():
     for mean in np.linspace(0.2, 1.2, 20):
         n = int(rng.integers(2, 10))
         angles = np.clip(mean + rng.uniform(-0.05, 0.05, size=n), 0.0, HALF_PI)
-        plan = qagg.build_plan(angles)
         true_mean = float(np.mean(angles))
-        est = qagg.run_plan(plan, noise, 1, None, exact=True)
-        z = mitigation_transfer("channel_inversion", noise, plan.depth).invert(est.z_raw)
+        est = qagg.run_plan(fused_gates(angles), noise, 1, None, exact=True)
+        z = mitigation_transfer("channel_inversion", noise, n).invert(est.z_raw)
         worst_mitigated = max(worst_mitigated, abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean))
         min_raw = min(min_raw, abs(est.value - true_mean))
     # sampled pipeline at 1e5 shots: mitigated error < 0.02 rad in >= 95/100 seeds
     hits = 0
     angles = np.array([0.45, 0.6, 0.75, 0.9, 1.05])
-    plan = qagg.build_plan(angles)
     true_mean = float(np.mean(angles))
-    state = qagg.simulate_plan(plan, noise)
+    state = qagg.simulate_plan(fused_gates(angles), noise)
     from nrqfl.qcore import prob_one
 
     p1 = prob_one(state)
     for seed in range(100):
         ones = np.random.default_rng(seed).binomial(10**5, p1)
-        z = mitigation_transfer("channel_inversion", noise, plan.depth).invert(1 - 2 * ones / 10**5)
+        z = mitigation_transfer("channel_inversion", noise, len(angles)).invert(1 - 2 * ones / 10**5)
         if abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean) < 0.02:
             hits += 1
     ok = worst_mitigated < 1e-6 and min_raw > 0 and hits >= 95

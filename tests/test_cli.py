@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nrqfl import cli, config, flsim, qagg
+from nrqfl import cli, config, flsim, qagg, validate
 from nrqfl.cli import CSV_HEADER, main
 from nrqfl.config import (
     DEFAULT_PROBES,
@@ -43,7 +43,7 @@ def reference_calibration(noise, depth):
     ideal, noisy = [], []
     for a in DEFAULT_PROBES:
         ideal.append(angle_to_z(a))
-        noisy.append(qagg.run_plan(qagg.build_plan([a] * depth), noise, 1, None, exact=True).z_raw)
+        noisy.append(qagg.run_plan(config.fused_gates([a] * depth), noise, 1, None, exact=True).z_raw)
     lam_hat, b_hat = np.polyfit(ideal, noisy, 1)
     return float(lam_hat), float(b_hat)
 
@@ -409,6 +409,15 @@ class TestCmdRun:
         assert round_runs == []
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("name", ["rounds.csv", "summary.json"])
+    def test_output_file_that_is_a_directory_exits_2_before_any_round(self, tmp_path, capsys, round_runs, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+        assert f"config error: out_dir {str(out)!r} holds {name!r}" in capsys.readouterr().err
+        assert round_runs == []
+        assert [p.name for p in out.iterdir()] == [name]
+
     @pytest.mark.parametrize("extra, depths", [({}, [5]), ({"n_clients": 11}, [6, 5])], ids=["default", "two-depths"])
     def test_one_calibration_fit_per_depth(self, tmp_path, monkeypatch, extra, depths):
         # the parse check and every nrqfl round share one cached fit per depth, whichever module would fit it
@@ -443,11 +452,15 @@ class TestCmdRun:
         {"rounds": 2, "n_servers": 2, "noise": {"p_depol": 0.03, "p_deph": 0.02, "gamma": 0.02, "readout_flip": 0.01}},
     ], ids=["three-strategies", "all-noise-two-servers"])
     def test_run_builds_no_dense_object(self, tmp_path, monkeypatch, extra):
-        # every P(1) and every epsilon comes from the Bloch engine; the dense chain is only an oracle
+        # every P(1) and every epsilon comes from the Bloch engine; the dense chain and the
+        # single-circuit functions serve only the test oracles and the invariant suite
         built = []
         for cls in (DensityMatrix, KrausChannel):
             monkeypatch.setattr(cls, "__post_init__",
                                 lambda self, init=cls.__post_init__: built.append(type(self).__name__) or init(self))
+        for name in ("run_plan", "simulate_plan", "calibrate", "empirical_variance", "fit_sigma_gate"):
+            monkeypatch.setattr(qagg, name, lambda *a, name=name, f=getattr(qagg, name), **k: built.append(name)
+                                or f(*a, **k))
         assert main(["run", "--config", str(write_cfg(tmp_path, extra)), "--out", str(tmp_path / "out")]) == 0
         assert built == []
 
@@ -498,6 +511,16 @@ class TestCmdSweep:
         assert f"config error: out_dir {str(unusable_out)!r}" in capsys.readouterr().err
         assert round_runs == []
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_output_file_that_is_a_directory_exits_2_before_any_run(self, tmp_path, capsys, round_runs):
+        out = tmp_path / "out"
+        (out / "sweep.csv").mkdir(parents=True)
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out),
+                     "--axis", "shots", "--values", "512,1024"])
+        assert code == 2
+        assert f"config error: out_dir {str(out)!r} holds 'sweep.csv'" in capsys.readouterr().err
+        assert round_runs == []
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
 
     def test_single_value_rejected(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -610,3 +633,17 @@ class TestCmdValidate:
         assert sum(line.startswith("[PASS]") for line in lines) == 15
         assert [line.split(":")[0] for line in lines if line.startswith("[FAIL]")] == [
             "[FAIL] injected_broken_channel_cptp"]
+
+    def test_a_check_that_raises_fails_and_the_suite_finishes(self, capsys, monkeypatch):
+        # E rho E^T in place of E rho E^dag: the depolarizing Y term no longer keeps the trace, so the
+        # state check rejects its output and every check that applies depolarizing noise raises
+        def broken_apply_channel(state, channel):
+            return DensityMatrix(sum(e @ state.matrix @ e.T for e in channel.operators))
+
+        monkeypatch.setattr(validate, "apply_channel", broken_apply_channel)
+        assert main(["validate"]) == 1
+        *lines, summary = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].split("] ")[1] for line in lines] == [
+            check.__name__.removeprefix("check_") for check in validate.ALL_CHECKS]
+        assert "[FAIL] trace_preservation: raised ValueError: state trace is" in "\n".join(lines)
+        assert re.fullmatch(rf"\d+/{len(validate.ALL_CHECKS)} checks passed \(suite .*\)", summary)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nrqfl import config, qagg
-from nrqfl.config import depol_attenuation, mitigation_transfer
+from nrqfl.config import depol_attenuation, fused_gates, mitigation_transfer
 from nrqfl.encode import HALF_PI, WeightBounds, denormalize, normalize
 from nrqfl.qcore import (
     NoiseModel,
@@ -21,8 +21,7 @@ DEPOL = NoiseModel(p_depol=0.05)
 
 
 def exact_raw(angles, noise):
-    plan = qagg.build_plan(angles)
-    return qagg.run_plan(plan, noise, 1, None, exact=True)
+    return qagg.run_plan(fused_gates(angles), noise, 1, None, exact=True)
 
 
 def rng_for(seed_key, *suffix) -> np.random.Generator:
@@ -31,7 +30,7 @@ def rng_for(seed_key, *suffix) -> np.random.Generator:
 
 
 def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
-    """`aggregate` as one loop per parameter and group over build_plan + run_plan: the oracle."""
+    """`aggregate` as one loop per parameter and group over fused_gates + run_plan: the oracle."""
     vectors = np.asarray(client_vectors, dtype=float)
     n, p = vectors.shape
     groups = [list(c) for c in np.array_split(np.arange(n), math.ceil(n / qagg.MAX_GROUP))]
@@ -44,16 +43,16 @@ def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
         angles = np.array([normalize(v, b) for v in values])
         group_angles = []
         for g_idx, g in enumerate(groups):
-            plan = qagg.build_plan(angles[g])
+            gates = fused_gates(angles[g])
             if cfg.exact_expectation:
-                z = qagg.run_plan(plan, noise, cfg.shots, None, exact=True).z_raw
+                z = qagg.run_plan(gates, noise, cfg.shots, None, exact=True).z_raw
             else:
-                z = float(np.mean([qagg.run_plan(plan, noise, cfg.shots, rng_for(seed_key, j, g_idx, r)).z_raw
+                z = float(np.mean([qagg.run_plan(gates, noise, cfg.shots, rng_for(seed_key, j, g_idx, r)).z_raw
                                    for r in range(cfg.repeats)]))
             if cfg.mitigation == "calibration":
-                z = qagg.calibrate(noise, plan.depth).invert(z)
+                z = qagg.calibrate(noise, len(g)).invert(z)
             elif cfg.mitigation == "channel_inversion":
-                z = np.clip(z / depol_attenuation(noise, plan.depth), -1.0, 1.0)
+                z = np.clip(z / depol_attenuation(noise, len(g)), -1.0, 1.0)
             z = min(max(float(z), -1.0), 1.0)
             group_angles.append(math.asin(math.sqrt((1.0 - z) / 2.0)))
         out[j] = denormalize(float(np.average(group_angles, weights=[len(g) for g in groups])), b)
@@ -69,25 +68,18 @@ MITIGATION_GRID.append(pytest.param("calibration", 1, id="calibration+channel_in
 
 class TestBuildPlan:
     def test_mean_by_construction(self):
-        plan = qagg.build_plan([0.2, 0.4, 0.6])
-        assert plan.gates == pytest.approx((2 * 0.2 / 3, 2 * 0.4 / 3, 2 * 0.6 / 3))
+        gates = fused_gates([0.2, 0.4, 0.6])
+        assert gates == pytest.approx((2 * 0.2 / 3, 2 * 0.4 / 3, 2 * 0.6 / 3))
         assert exact_raw([0.2, 0.4, 0.6], NOISELESS).value == pytest.approx(0.4, abs=1e-12)
 
     def test_single_client(self):
-        plan = qagg.build_plan([0.7])
-        assert plan.gates == pytest.approx((1.4,))
+        gates = fused_gates([0.7])
+        assert gates == pytest.approx((1.4,))
         assert exact_raw([0.7], NOISELESS).value == pytest.approx(0.7, abs=1e-12)
 
     def test_symmetric_pair(self):
         assert exact_raw([0.1, 0.9], NOISELESS).value == pytest.approx(0.5, abs=1e-12)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            qagg.build_plan([])
-
-    def test_rejects_depth_violation(self):
-        with pytest.raises(ValueError, match="split into groups"):
-            qagg.build_plan([0.1] * 10)
 
 
 class TestRunPlan:
@@ -107,10 +99,10 @@ class TestRunPlan:
         assert est.value == pytest.approx(math.asin(math.sqrt((1 - expected_z) / 2)), abs=1e-12)
 
     def test_two_seeds_within_sampling_envelope(self):
-        plan = qagg.build_plan([0.3, 0.5, 0.7])
+        gates = fused_gates([0.3, 0.5, 0.7])
         shots = 10**5
-        a = qagg.run_plan(plan, DEPOL, shots, np.random.default_rng(1))
-        b = qagg.run_plan(plan, DEPOL, shots, np.random.default_rng(2))
+        a = qagg.run_plan(gates, DEPOL, shots, np.random.default_rng(1))
+        b = qagg.run_plan(gates, DEPOL, shots, np.random.default_rng(2))
         assert a.value != b.value
         assert abs(a.value - b.value) < 4 * 2 / (2 * math.sqrt(shots))
 
@@ -185,12 +177,19 @@ class TestAggregate:
         tol = 0.02 / HALF_PI * 2.0
         assert result.vector == pytest.approx([0.4, -0.2], abs=tol)
 
-    def test_group_splitting_matches_global_mean(self):
+    def test_group_splitting_matches_global_mean(self, monkeypatch):
+        depths, p1 = [], qagg.circuit_p1
+        monkeypatch.setattr(qagg, "circuit_p1", lambda gates, noise: depths.append(gates.shape[-1]) or p1(gates, noise))
         rng = np.random.default_rng(3)
         vecs = rng.uniform(-5, 5, size=(12, 3))
         cfg = qagg.AggregationConfig(exact_expectation=True)
         result = qagg.aggregate(vecs, self.wide_bounds(3), cfg, NOISELESS)
         assert result.vector == pytest.approx(vecs.mean(axis=0), abs=1e-9)
+        assert depths == [6, 6]  # 12 clients run as two circuits, each within MAX_GROUP
+
+    def test_rejects_an_empty_client_set(self):
+        with pytest.raises(ValueError, match="empty client set"):
+            qagg.aggregate(np.empty((0, 2)), self.wide_bounds(2), qagg.AggregationConfig(), NOISELESS)
 
     def test_clip_counting(self):
         cfg = qagg.AggregationConfig(exact_expectation=True)
@@ -353,10 +352,10 @@ class TestVarianceBound:
 
 class TestEmpiricalVariance:
     def test_shot_scaling(self):
-        plan = qagg.build_plan([0.3, 0.5, 0.7, 0.9, 1.1])
+        gates = fused_gates([0.3, 0.5, 0.7, 0.9, 1.1])
         rng = np.random.default_rng(10)
-        v1 = qagg.empirical_variance(plan, DEPOL, 1000, 500, rng)
-        v4 = qagg.empirical_variance(plan, DEPOL, 4000, 500, rng)
+        v1 = qagg.empirical_variance(gates, DEPOL, 1000, 500, rng)
+        v4 = qagg.empirical_variance(gates, DEPOL, 4000, 500, rng)
         assert 0.7 * 4 <= v1 / v4 <= 1.3 * 4
 
     def test_mitigated_variance_grows_with_depth(self):
@@ -372,7 +371,7 @@ class TestEmpiricalVariance:
 
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):
-            qagg.empirical_variance(qagg.build_plan([0.5]), DEPOL, 100, 1, np.random.default_rng(0))
+            qagg.empirical_variance(fused_gates([0.5]), DEPOL, 100, 1, np.random.default_rng(0))
 
 
 class TestCommutationCheck:
@@ -424,8 +423,8 @@ class TestFitSigmaGate:
         for _ in range(100):
             n = int(rng.integers(1, 10))
             shots = int(rng.integers(256, 65537))
-            plan = qagg.build_plan(rng.uniform(0.05, HALF_PI - 0.05, size=n))
-            bound = qagg.variance_bound(shots, n, plan.depth, sigma_gate)
-            if qagg.empirical_variance(plan, noise, shots, 150, rng) > bound:
+            gates = fused_gates(rng.uniform(0.05, HALF_PI - 0.05, size=n))
+            bound = qagg.variance_bound(shots, n, n, sigma_gate)
+            if qagg.empirical_variance(gates, noise, shots, 150, rng) > bound:
                 violations += 1
         assert violations <= 5

@@ -255,7 +255,7 @@ class TestCircuitEngine:
             oracle = apply_unitary(oracle, ry(theta))
             for ch in noise.gate_channels():
                 oracle = apply_channel(oracle, ch)
-        engine = qagg.simulate_plan(qagg.CircuitPlan(tuple(gates), len(gates)), noise)
+        engine = qagg.simulate_plan(gates, noise)
         assert isinstance(engine, DensityMatrix)
         assert np.max(np.abs(engine.matrix - oracle.matrix)) <= 1e-12
 
