@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,6 @@ from . import SUITE_VERSION, flsim, qagg
 from .config import STRATEGY_TABLE, ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
 from .encode import HALF_PI, WeightBounds
 
-CSV_HEADER = [f.name for f in fields(flsim.RoundRecord)][:9]  # the schema RoundRecord's docstring names
-
 
 def _fmt(x) -> str:
     if isinstance(x, tuple):
@@ -27,19 +24,33 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+# The output table: what every file writes, in order. rounds.csv has one column per RoundRecord field
+# of CSV_HEADER. A strategy's summary.json block has one key per SUMMARY_TABLE row: the reduction of a
+# RoundRecord field over the strategy's rounds. A sweep.csv row copies the keys marked for it.
+CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
+REDUCTIONS = {  # a field's values over one strategy's rounds -> its summary value; "rounds": 0 is legal
+    "last": lambda values: values[-1] if values else None,
+    "total": lambda values: int(sum(values)),
+    "mean": lambda values: float(np.mean(values)) if values else 0.0,
+    "list": list,
+}
+SUMMARY_TABLE = (  # (key, field, reduction, in sweep.csv)
+    ("final_accuracy", "accuracy", "last", True),
+    ("final_f1", "f1", "last", True),
+    ("total_bytes_up", "bytes_up", "total", False),
+    ("total_bytes_down", "bytes_down", "total", False),
+    ("mean_epsilon", "epsilon", "mean", False),
+    ("mean_agg_error", "agg_error", "mean", True),
+    ("total_clipped", "clip_count", "total", False),
+    ("round_epsilon", "epsilon", "list", False),
+)
+SWEEP_KEYS = [key for key, *_, in_sweep in SUMMARY_TABLE if in_sweep]
+SWEEP_HEADER = ["axis", "value", "strategy", *SWEEP_KEYS, "empirical_variance", "bytes_total"]
+
+
 def _summary(records: list) -> dict:
     """One strategy's block of summary.json; a sweep row takes its numbers from it too."""
-    final = records[-1] if records else None
-    return {
-        "final_accuracy": final.accuracy if final else None,
-        "final_f1": final.f1 if final else None,
-        "total_bytes_up": int(sum(r.bytes_up for r in records)),
-        "total_bytes_down": int(sum(r.bytes_down for r in records)),
-        "mean_epsilon": float(np.mean([r.epsilon for r in records])) if records else 0.0,
-        "mean_agg_error": float(np.mean([r.agg_error for r in records])) if records else 0.0,
-        "total_clipped": int(sum(r.clip_count for r in records)),
-        "round_epsilon": [r.epsilon for r in records],
-    }
+    return {key: REDUCTIONS[how]([getattr(r, field) for r in records]) for key, field, how, _ in SUMMARY_TABLE}
 
 
 def _out_dir(cfg: ExperimentConfig, *names: str) -> Path:
@@ -84,9 +95,6 @@ def cmd_validate(inject_broken_channel: bool = False) -> int:
         failed += 0 if r.passed else 1
     print(f"{len(results) - failed}/{len(results)} checks passed (suite {SUITE_VERSION})")
     return 0 if failed == 0 else 1
-
-
-SWEEP_HEADER = ["axis", "value", "strategy", "final_accuracy", "final_f1", "mean_agg_error", "empirical_variance", "bytes_total"]
 
 
 def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
@@ -138,12 +146,9 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values: list) -> int:
         depth = group_depths(run_cfg.selection_m or run_cfg.n_clients)[0]  # aggregate's deepest circuit
         for strategy, records in flsim.run_experiment(run_cfg).items():
             s = _summary(records)
-            rows.append([
-                axis, _fmt(float(value)), strategy,
-                _fmt(s["final_accuracy"]), _fmt(s["final_f1"]), _fmt(s["mean_agg_error"]),
-                _fmt(_sweep_variance(run_cfg, strategy, depth)),
-                s["total_bytes_up"] + s["total_bytes_down"],
-            ])
+            rows.append([axis, _fmt(float(value)), strategy, *(_fmt(s[key]) for key in SWEEP_KEYS),
+                         _fmt(_sweep_variance(run_cfg, strategy, depth)),
+                         s["total_bytes_up"] + s["total_bytes_down"]])
     with (out / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
@@ -177,14 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.out is not None:
-        out["out_dir"] = args.out
-    if args.strategy is not None:
-        out["strategies"] = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    return out
+    strategies = None if args.strategy is None else [s.strip() for s in args.strategy.split(",") if s.strip()]
+    return {"seed": args.seed, "out_dir": args.out, "strategies": strategies}  # parse_config skips a None
 
 
 def main(argv=None) -> int:

@@ -233,7 +233,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         n = d.pop("noise")
-        d["noise"] = {"p_depol": n.p_depol, "p_deph": n.p_deph, "gamma": n.gamma, "readout_flip": n.readout_flip}
+        d["noise"] = {name: getattr(n, name) for name in _NOISE_KEYS}
         d["strategies"] = list(self.strategies)
         return d
 

@@ -49,7 +49,8 @@ def normalize(values, bounds: WeightBounds) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("weight must be finite")
-    return HALF_PI * np.clip((values - bounds.lo) / (bounds.hi - bounds.lo), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a weight far outside a narrow window overflows to +-inf, clamped to an end
+        return HALF_PI * np.clip((values - bounds.lo) / (bounds.hi - bounds.lo), 0.0, 1.0)
 
 
 def denormalize(angles, bounds: WeightBounds) -> np.ndarray:

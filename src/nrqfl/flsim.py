@@ -90,7 +90,7 @@ class DataPartition:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Per-round metrics; the CSV schema uses the first nine fields."""
+    """Per-round metrics; `cli`'s output table names the fields each output file writes."""
 
     round: int
     strategy: str

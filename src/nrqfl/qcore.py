@@ -18,7 +18,7 @@ RNG stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,10 +94,10 @@ class NoiseModel:
     readout_flip: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_depol", "p_deph", "gamma", "readout_flip"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
 
     @property
     def depol_factor(self) -> float:

@@ -4,9 +4,11 @@ import ast
 from pathlib import Path
 
 import nrqfl
+from nrqfl.cli import SUMMARY_TABLE
 from nrqfl.config import MITIGATIONS, STRATEGIES
 
 SRC = Path(nrqfl.__file__).parent
+SUMMARY_KEYS = {key for key, *_ in SUMMARY_TABLE}
 
 
 def strategy_name_literals(source: str) -> list:
@@ -37,6 +39,12 @@ def mitigation_name_comparisons(source: str) -> list:
     return sorted(hits)
 
 
+def summary_key_literals(source: str) -> list:
+    """(line, key) of every string constant in `source` equal to a summary.json key."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value in SUMMARY_KEYS)
+
+
 def test_only_config_names_a_strategy():
     # what a strategy runs is one row of config.STRATEGY_TABLE; every other module reads the row
     found = {path.name: strategy_name_literals(path.read_text())
@@ -60,3 +68,15 @@ def test_mitigation_name_comparisons_are_found():
     source = ('if m == "calibration":\n    pass\nok = "none" != m or m in ("channel_inversion", "x")\n'
               'mitigation: str = "none"\nrun(mitigation="calibration")\nif m is "none" or m < "none":\n    pass\n')
     assert mitigation_name_comparisons(source) == [(1, "calibration"), (3, "channel_inversion"), (3, "none")]
+
+
+def test_only_cli_names_a_summary_key():
+    # what summary.json holds is cli's output table; a new number is one more row there, not a key elsewhere
+    found = {path.name: summary_key_literals(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_summary_key_literals_are_found():
+    source = 'x = s["mean_agg_error"]\ny = {"final_f1": 1, "f1": 2}\n"""final_accuracy of a run"""\n'
+    assert summary_key_literals(source) == [(1, "mean_agg_error"), (2, "final_f1")]

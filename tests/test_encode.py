@@ -32,6 +32,8 @@ class TestNormalize:
     def test_clamps_out_of_range(self):
         assert normalize(5.0, BOUNDS) == HALF_PI
         assert normalize(-5.0, BOUNDS) == 0.0
+        # a weight outside the narrowest window overflows the quotient to +-inf, which clamps to an end
+        assert list(normalize([0.2, -0.2], WeightBounds(-5e-324, 5e-324))) == [HALF_PI, 0.0]
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
-"""Pinned sha256 digests of `nrqfl run` outputs, each beside a readable snapshot.
+"""Pinned sha256 digests of `nrqfl run` outputs, each beside a readable snapshot, and of one sweep.
 
 Refactors of the simulator must keep every number it writes bit-identical, so
-a change that moves any value in `rounds.csv` or `summary.json` fails here
-first. `summary.json` is hashed without `config.out_dir`, the one field that
-depends on where the run writes. Beside the digests, each entry pins a
+a change that moves any value in `rounds.csv`, `summary.json` or `sweep.csv`
+fails here first. `summary.json` is hashed without `config.out_dir`, the one
+field that depends on where the run writes. Beside the digests, each entry pins a
 snapshot of every strategy's `summary.json` totals as exact `repr` values,
 and a failure prints each of them old -> new. The digests were recorded on
 x86-64 with numpy 2.4; a change that moves an output on purpose updates them
@@ -166,12 +166,23 @@ GOLDEN = {
     ),
 }
 
+# one small shots sweep: (config, sweep flags, sha256 of sweep.csv)
+SWEEP_GOLDEN = (
+    {"rounds": 3, "samples_per_client": 100, "test_samples": 200},
+    ("sweep", "--seed", "3", "--axis", "shots", "--values", "512,2048"),
+    "868fb11ccbc96a7b84b1b42ff4aa37f65129c3bbbf40dd0af85e63057d8f09ba",
+)
 
-def run_golden(config, out) -> None:
+
+def run_golden(config, out, command=("run",)) -> None:
     cfg = out.parent / f"{out.name}.json"
     cfg.write_text(json.dumps(config))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def sweep_digest(out) -> str:
+    return hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
 
 
 def output_digests(out) -> tuple:
@@ -216,10 +227,18 @@ def test_run_outputs_match_pinned_digests(tmp_path, name):
         f"{name} moved; its snapshot, old -> new (* moved):\n{snapshot_changes(snapshot, new)}"
 
 
+def test_sweep_output_matches_pinned_digest(tmp_path):
+    config, command, digest = SWEEP_GOLDEN
+    run_golden(config, tmp_path / "sweep", command)
+    assert sweep_digest(tmp_path / "sweep") == digest, \
+        f"the sweep moved; its new sweep.csv:\n{(tmp_path / 'sweep' / 'sweep.csv').read_text()}"
+
+
 def test_pins_are_written_as_the_print_command_prints_them():
     source = Path(__file__).read_text()
     assert [name for name, (_, digests, snapshot) in GOLDEN.items()
             if format_pins(digests, snapshot) not in source] == []
+    assert f'\n    "{SWEEP_GOLDEN[2]}",\n' in source
 
 
 def test_snapshot_changes_list_every_field_old_to_new():
@@ -237,3 +256,5 @@ if __name__ == "__main__":
         for name, (config, *_) in GOLDEN.items():
             run_golden(config, Path(tmp) / name)
             print(f"    # {name}\n{format_pins(output_digests(Path(tmp) / name), output_snapshot(Path(tmp) / name))}")
+        run_golden(SWEEP_GOLDEN[0], Path(tmp) / "sweep", SWEEP_GOLDEN[1])
+        print(f'    # sweep\n    "{sweep_digest(Path(tmp) / "sweep")}",')

@@ -1,26 +1,37 @@
-"""The names and parameters of nrqfl that the benchmark's span tracer relies on.
+"""The names and parameters of nrqfl that the benchmark relies on.
 
 `perfbench/tracer.py` looks every traced function up by name and reads some
 arguments by position, so a rename or a reordered parameter breaks
-`perfbench/run.py --trace 1`. These checks catch that in the unit suite.
+`perfbench/run.py --trace 1`. `perfbench/checks.py` reads `RoundRecord`
+fields by name. These checks catch either break in the unit suite.
 """
 
 import importlib
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def _params(fn) -> list:
@@ -48,3 +59,11 @@ def test_hooked_parameters_keep_their_positions():
     assert _params(qcore.sample_measurement)[2] == "shots"
     assert _params(qselect.quantum_random_bits)[0] == "k"
     assert _params(qselect.select_clients)[:2] == ["n", "m"]
+
+
+def test_checked_fields_are_round_record_fields_of_their_type(checks):
+    from nrqfl.flsim import RoundRecord
+
+    types = typing.get_type_hints(RoundRecord)
+    assert {f: types.get(f) for f in checks.FLOAT_FIELDS} == dict.fromkeys(checks.FLOAT_FIELDS, float)
+    assert {f: types.get(f) for f in checks.INT_FIELDS} == dict.fromkeys(checks.INT_FIELDS, int)
