@@ -31,7 +31,7 @@ CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up"
 REDUCTIONS = {  # a field's values over one strategy's rounds -> its summary value; "rounds": 0 is legal
     "last": lambda values: values[-1] if values else None,
     "total": lambda values: int(sum(values)),
-    "mean": lambda values: float(np.mean(values)) if values else 0.0,
+    "mean": lambda values: float(np.mean(values)) if values else None,
     "list": list,
 }
 SUMMARY_TABLE = (  # (key, field, reduction, in sweep.csv)

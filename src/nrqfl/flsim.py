@@ -9,6 +9,8 @@ row of `config.STRATEGY_TABLE`; this module reads the row, never the name.
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -158,55 +160,101 @@ def make_partition(
     return DataPartition(client_x, client_y, test_x, test_y, classes, skew)
 
 
-def _class_logits(weights: np.ndarray, xt: np.ndarray, classes: int) -> np.ndarray:
-    """Class-major logits W^T x + b, (..., c, n), for flat weights (..., (f+1)*c) and features xt (..., f, n)."""
-    w = weights.reshape(weights.shape[:-1] + (xt.shape[-2] + 1, classes))
-    z = np.swapaxes(w[..., :-1, :], -1, -2) @ xt
-    z += w[..., -1, :, None]
-    return z
+def _split_weights(w: np.ndarray, f: int, classes: int) -> tuple:
+    """Views of flat weight rows (..., (f+1)*c): W^T (..., c, f) and the bias, class first, (c, ..., 1)."""
+    w = w.reshape(w.shape[:-1] + (f + 1, classes))
+    return np.swapaxes(w[..., :-1, :], -1, -2), np.moveaxis(w[..., -1, :], -1, 0)[..., None]
 
 
-def _class_probs(weights: np.ndarray, xt: np.ndarray, classes: int) -> tuple:
-    """Class-major softmax probs (..., c, n) and per-sample totals (..., n), in the logits buffer.
+class _Workspace:
+    """The buffers of one training shape, (..., n, f) features and c classes, and the views an epoch takes of them.
 
+    `probs` holds the logits, then the probs, then the deltas, class first:
+    (c, ..., n), so an op between it and per-sample (..., n) rows runs one
+    contiguous loop per class. `rows` (..., n) holds the per-sample max, then
+    the totals (the max is dead once subtracted); `by_sample` the
+    sample-major (n, c, ...) deltas and, before them, the sample-major exps
+    of 8 classes or more.
+    """
+
+    def __init__(self, lead: tuple, n: int, f: int, classes: int):
+        self.probs = np.empty((classes,) + lead + (n,))
+        self.rows = np.empty(lead + (n,))
+        self.by_sample = np.empty((n, classes) + lead)
+        self.grad = np.empty(lead + (f + 1, classes))
+        self.onehot = np.empty((classes,) + lead + (n,))
+        self.labels = np.arange(classes).reshape((classes,) + (1,) * (len(lead) + 1))
+        self.by_client = np.moveaxis(self.probs, 0, -2)  # (..., c, n): one BLAS block per client
+        self.probs_t = np.moveaxis(self.probs, 0, -1)  # (..., n, c)
+        self.probs_2d, self.by_sample_2d = self.probs.reshape(-1, n), self.by_sample.reshape(n, -1).T  # copy as 2-D
+        self.exps_by_sample = self.by_sample.reshape(lead + (n, classes))
+        self.grad_w, self.grad_b = self.grad[..., :-1, :], np.moveaxis(self.grad[..., -1, :], -1, 0)
+        self.grad_flat = self.grad.reshape(lead + (-1,))
+
+
+MAX_WORKSPACES = 4  # training shapes whose buffers a thread keeps; one per client size in a round
+
+
+class _Workspaces(threading.local):
+    """Each thread's own workspaces, so concurrent `local_train` calls never share a buffer."""
+
+    def __init__(self):
+        self.by_shape = {}  # (x.shape, classes) -> _Workspace, least recently used first
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(shape: tuple, classes: int) -> _Workspace:
+    """This thread's buffers for (..., n, f) features and `classes` classes, made on first use."""
+    cache, key = _WORKSPACES.by_shape, (shape, classes)
+    ws = cache.pop(key, None)
+    if ws is None:
+        ws = _Workspace(shape[:-2], shape[-2], shape[-1], classes)
+        while len(cache) >= MAX_WORKSPACES:
+            del cache[next(iter(cache))]
+    cache[key] = ws
+    return ws
+
+
+def _class_probs(wt: np.ndarray, bias: np.ndarray, xt: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Softmax probs of `_split_weights`'s views and features xt (..., f, n), in `ws.probs`; returns the totals.
+
+    The totals (..., n) are the per-sample sums of exps, in `ws.rows`.
     Bit-identical to the row-wise softmax: see `local_train`.
     """
-    z = _class_logits(weights, xt, classes)
-    rows = [z[..., k, :] for k in range(classes)]
-    top = rows[0].copy()
-    for row in rows[1:]:
-        np.maximum(top, row, out=top)
-    z -= top[..., None, :]
+    z, rows = ws.probs, ws.rows
+    np.matmul(wt, xt, out=ws.by_client)
+    z += bias
+    np.maximum.reduce(z, axis=0, out=rows)
+    z -= rows
     np.exp(z, out=z)
-    if classes < 8:
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
+    if len(z) < 8:  # classes
+        np.add.reduce(z, axis=0, out=rows)
     else:
-        total = np.ascontiguousarray(np.swapaxes(z, -1, -2)).sum(axis=-1)
-    z /= total[..., None, :]
-    return z, total
+        np.copyto(ws.exps_by_sample, ws.probs_t)
+        np.add.reduce(ws.exps_by_sample, axis=-1, out=rows)
+    z /= rows
+    return rows
 
 
-def _class_onehot(y: np.ndarray, classes: int) -> np.ndarray:
-    """Boolean one-hot labels in class-major order, (..., c, n); an eighth of a float one's memory."""
-    return y[..., None, :] == np.arange(classes)[:, None]
+def _class_onehot(y: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Float one-hot labels, class first (c, ..., n), in `ws.onehot`."""
+    return np.equal(y, ws.labels, out=ws.onehot)
 
 
-def _gradient(probs: np.ndarray, onehot: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Flat cross-entropy gradient rows (..., (f+1)*c) from class-major probs and one-hot labels.
+def _gradient(onehot: np.ndarray, xt: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Flat cross-entropy gradient rows (..., (f+1)*c) from the probs in `ws.probs` and one-hot labels, in `ws.grad`.
 
     The probs become the deltas (probs - onehot) / n in place.
     """
-    f, n = xt.shape[-2:]
-    lead, classes = probs.shape[:-2], probs.shape[-2]
+    probs = ws.probs
     probs -= onehot
-    probs /= n
-    grad = np.empty(lead + (f + 1, classes))
-    np.matmul(xt, np.swapaxes(probs, -1, -2), out=grad[..., :-1, :])
-    by_sample = np.ascontiguousarray(np.moveaxis(probs, -1, 0)).reshape(n, -1)
-    grad[..., -1, :] = by_sample.sum(axis=0).reshape(lead + (classes,))
-    return grad.reshape(lead + ((f + 1) * classes,))
+    probs /= xt.shape[-1]
+    np.matmul(xt, ws.probs_t, out=ws.grad_w)
+    np.copyto(ws.by_sample_2d, ws.probs_2d)
+    np.add.reduce(ws.by_sample, axis=0, out=ws.grad_b)
+    return ws.grad_flat
 
 
 def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
@@ -216,11 +264,15 @@ def loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: in
     its own weight row in `weights` (..., p) or sharing one flat vector. The
     loss has the leading shape and the gradient one row per client.
     """
+    weights = np.asarray(weights, dtype=float)
+    n, f = x.shape[-2:]
+    lead = np.broadcast_shapes(weights.shape[:-1], x.shape[:-2])
+    ws = _Workspace(lead, n, f, classes)
     xt = np.swapaxes(x, -1, -2)
-    probs, _ = _class_probs(np.asarray(weights, dtype=float), xt, classes)
-    picked = np.take_along_axis(probs, y[..., None, :], axis=-2)[..., 0, :]
+    _class_probs(*_split_weights(np.broadcast_to(weights, lead + weights.shape[-1:]), f, classes), xt, ws)
+    picked = np.take_along_axis(ws.probs, y[None], axis=0)[0]
     loss = -np.mean(np.log(picked + 1e-300), axis=-1)
-    return loss, _gradient(probs, _class_onehot(y, classes), xt)
+    return loss, _gradient(_class_onehot(y, ws), xt, ws)
 
 
 def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int, epochs: int, lr: float) -> np.ndarray:
@@ -231,31 +283,45 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
     """
     # a C-ordered copy per client: the memory layout picks numpy's matmul path,
     # and this one gives each client the bits of a lone 2-D call.
-    # Each epoch works on class-major (..., c, n) logits, W[:-1]^T @ x^T, so
-    # every softmax op runs along contiguous sample rows: a reduction along
-    # the 3-4-wide class axis costs numpy one inner-loop call per sample, a
-    # row op one call per class. The bits are the row-wise ones:
+    # Each epoch works on class-first (c, ..., n) logits: each client's
+    # W[:-1]^T @ x^T lands as one (c, n) block of them. Every softmax op runs
+    # along contiguous sample rows, and an op against per-sample (..., n)
+    # rows runs one contiguous loop per class: the sample-major layout would
+    # cost numpy one inner-loop call per sample for each reduction along the
+    # 3-4-wide class axis. The bits are the row-wise ones:
     # - every logit and gradient entry is the same BLAS dot, over the same
-    #   operands in the same order, whichever operand is transposed;
-    # - a max is exact in any order, and below 8 classes numpy sums a row left
-    #   to right, which adding the class rows in order repeats; from 8 up,
-    #   where numpy sums pairwise, the row sum runs on a sample-major copy;
+    #   operands in the same order, whichever operand is transposed, and
+    #   whether numpy allocates the output or writes into a buffer (`out=`
+    #   changes where a result lands, never how it is computed);
+    # - a max is exact in any order; below 8 classes numpy sums a row left to
+    #   right, and `add.reduce` over the class axis adds whole class slabs in
+    #   order, which is the same sum; from 8 up, where numpy sums pairwise,
+    #   the row sum runs on a sample-major copy;
     # - the row-wise bias gradient, `sum(axis=-2)` over samples, runs left to
-    #   right; copying the deltas to sample-major (n, k*c) and reducing axis 0
-    #   is the same sequential sum, with one k*c-wide inner loop per sample.
-    # Probs are finite exactly when their sample's total is, so only the
-    # totals are checked; a loss is finite exactly when every prob is.
+    #   right; copying the deltas to sample-major (n, c, ...) and reducing
+    #   axis 0 is the same sequential sum, with one inner loop per sample;
+    # - subtracting a float one-hot subtracts the same 1.0 a bool one does.
+    # The buffers are `_workspace`'s, kept across calls: a fresh process
+    # otherwise faults in new pages for every round's (c, k, n) temporaries.
+    # Every buffer is written before it is read, so a call that diverges
+    # leaves nothing behind. Probs are finite exactly when their sample's
+    # total is; finite totals lie in [1, c], so their sum is finite exactly
+    # when every one is. A loss is finite exactly when every prob is.
     w = np.broadcast_to(np.asarray(weights, dtype=float), x.shape[:-2] + np.shape(weights)).copy()
+    ws = _workspace(x.shape, classes)
     xt = np.swapaxes(x, -1, -2)
-    onehot = _class_onehot(y, classes)
+    wt, bias = _split_weights(w, x.shape[-1], classes)
+    onehot = _class_onehot(y, ws)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
         for _ in range(epochs):
-            probs, total = _class_probs(w, xt, classes)
-            if not np.all(np.isfinite(total)):
+            total = _class_probs(wt, bias, xt, ws)
+            if not math.isfinite(total.sum()):
                 loss = loss_and_grad(w, x, y, classes)[0]
                 raise ValueError(f"training loss diverged (loss={np.max(loss)}); {DIVERGED_HINT}")
-            w -= lr * _gradient(probs, onehot, xt)
-            if not np.all(np.isfinite(w)):
+            grad = _gradient(onehot, xt, ws)
+            grad *= lr
+            w -= grad
+            if not np.isfinite(w).all():
                 raise ValueError(WEIGHTS_DIVERGED)
     return w
 
@@ -277,7 +343,8 @@ def evaluate(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int):
     """(accuracy, macro F1) of argmax-softmax predictions."""
     if len(x) == 0:
         raise ValueError("empty test set")
-    pred = np.argmax(_class_logits(np.asarray(weights, dtype=float), x.T, classes), axis=0)
+    w = np.asarray(weights, dtype=float).reshape(-1, classes)
+    pred = np.argmax(x @ w[:-1] + w[-1], axis=1)
     confusion = np.bincount(y * classes + pred, minlength=classes**2).reshape(classes, classes)
     tp = np.diag(confusion)
     fp = confusion.sum(axis=0) - tp

@@ -16,6 +16,11 @@ Each circuit's <Z> is the mean of AggregationConfig.repeats independent
 executions. `aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
 that `config.mitigation_transfer` maps AggregationConfig.mitigation to, once
 per (noise, depth), and clamps the result to [-1, 1].
+
+Every execution draws its shots from its own stream, the one
+`default_rng(SeedSequence(key))` would give. `_seed_pools` and `_shot_draws`
+run SeedSequence's hashing for all of a call's keys as uint32 array ops, and
+numpy's PCG64 seeds itself from each stream's four words (`_SeedWords`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .config import (DEFAULT_PROBES, MAX_GROUP, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
                      group_sizes, mitigation_transfer)
@@ -45,8 +52,6 @@ from .qcore import (
 SIGMA_SHOT = 0.5  # per-shot standard deviation in `variance_bound`'s shot term
 SIGMA_GATE_SAFETY = 1.4  # factor on the largest excess variance `fit_sigma_gate` fits
 _WORD = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 _OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]  # pool words each word mixes into
 
 
@@ -177,27 +182,40 @@ def _seed_pools(seed_key, suffixes) -> np.ndarray:
     return pool.T
 
 
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator one stream's precomputed `SeedSequence.generate_state(4, uint64)` words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
     """`default_rng(SeedSequence((*seed_key, *row))).binomial(shots, p)` per row of `suffixes` and p, bit for bit.
 
     The pools become PCG64 seeds as `SeedSequence.generate_state(4, uint64)`
-    does; PCG64's two-step seeding runs in Python ints, and one Generator
-    draws every stream with its bit generator's state set to that stream's.
+    does, all streams at once; numpy's PCG64 then seeds each stream from its
+    four words as it would from a SeedSequence.
     """
     consts = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # numpy's INIT_B, MULT_B
     words = (_seed_pools(seed_key, suffixes).T[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:-1]) * consts[1:]
     words = (words ^ words >> 16).astype(np.uint64)
-    seeds = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-    gen = np.random.Generator(np.random.PCG64(0))
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    ones = np.empty(len(probs), dtype=np.int64)
-    for i, (s0, s1, s2, s3, p) in enumerate(zip(*seeds, probs)):
-        pcg["inc"] = inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        gen.bit_generator.state = state
-        ones[i] = gen.binomial(shots, p)
-    return ones
+    seeds = (words[0::2] | words[1::2] << np.uint64(32)).T.copy()  # one row of 4 uint64 words per stream
+    draws = [Generator(PCG64(_SeedWords(row))).binomial(shots, p) for row, p in zip(seeds, probs)]
+    return np.array(draws, dtype=np.int64)
+
+
+@lru_cache(maxsize=16)
+def _stream_keys(groups: int, params: int, repeats: int) -> np.ndarray:
+    """The (parameter, group, repeat) stream key of each draw, in (group, parameter, repeat) order; read-only."""
+    group, param, rep = np.indices((groups, params, repeats)).reshape(3, -1)
+    keys = np.stack([param, group, rep], axis=1)
+    keys.flags.writeable = False
+    return keys
 
 
 def aggregate(
@@ -235,12 +253,14 @@ def aggregate(
     if cfg.exact_expectation:
         z = 1.0 - 2.0 * p1
     else:
-        group, param, rep = np.indices((len(sizes), p, cfg.repeats)).reshape(3, -1)
-        keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
+        keys = _stream_keys(len(sizes), p, cfg.repeats)
         ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, cfg.repeats).tolist())
         z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, cfg.repeats) / cfg.shots)).sum(axis=2) / cfg.repeats
-    group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
-                             for g, d in enumerate(sizes)])
+    if len(set(sizes)) == 1:  # one depth: one transfer inverts every group
+        group_angles = z_to_angle(mitigation_transfer(cfg.mitigation, noise, sizes[0]).invert(z))
+    else:
+        group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
+                                 for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
     mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()
     return AggregateResult(vector=denormalize(mean_angle, bounds), clip_count=clip_count)

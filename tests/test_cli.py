@@ -392,12 +392,12 @@ class TestCmdRun:
 
     def test_empty_run_writes_the_empty_reductions(self, tmp_path):
         # "rounds": 0 is legal: a header-only rounds.csv and, in summary.json's key order,
-        # final_* null, total_* 0, mean_* 0.0 and round_epsilon []
+        # final_* null, total_* 0, mean_* null (no rounds, unlike fedavg's real 0.0) and round_epsilon []
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, {"rounds": 0})), "--out", str(out)]) == 0
         assert (out / "rounds.csv").read_bytes() == f"{','.join(CSV_COLUMNS)}\r\n".encode()
         block = ('{"final_accuracy": null, "final_f1": null, "total_bytes_up": 0, "total_bytes_down": 0, '
-                 '"mean_epsilon": 0.0, "mean_agg_error": 0.0, "total_clipped": 0, "round_epsilon": []}')
+                 '"mean_epsilon": null, "mean_agg_error": null, "total_clipped": 0, "round_epsilon": []}')
         blocks = json.loads((out / "summary.json").read_text())["strategies"]
         assert {strategy: json.dumps(b) for strategy, b in blocks.items()} == dict.fromkeys(flsim.STRATEGIES, block)
 

@@ -1,5 +1,8 @@
 import itertools
 import re
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +250,86 @@ class TestLocalTrain:
             loss_i, grad_i = flsim.loss_and_grad(w[i], xs[i], ys[i], c)
             assert loss[i] == loss_i
             assert np.array_equal(grad[i], grad_i)
+
+
+def training_inputs(seed, m, n, f, c):
+    rng = np.random.default_rng(seed)
+    return 0.3 * rng.normal(size=(f + 1) * c), 2.0 * rng.normal(size=(m, n, f)), rng.integers(0, c, size=(m, n))
+
+
+def fresh_local_train(*args):
+    """`local_train` with no workspace left by an earlier call."""
+    flsim._WORKSPACES.by_shape.clear()
+    return flsim.local_train(*args)
+
+
+class TestTrainingWorkspace:
+    def test_a_warm_call_allocates_no_per_sample_temporaries(self):
+        # wide's shape: one (10, 4, 1000) float temporary alone is 312.5 KiB
+        w0, xs, ys = training_inputs(0, 10, 1000, 4, 4)
+        flsim.local_train(w0, xs, ys, 4, 5, 0.1)
+        tracemalloc.start()
+        try:
+            flsim.local_train(w0, xs, ys, 4, 5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_shapes_in_turn_give_the_bits_of_fresh_calls(self):
+        a = training_inputs(1, 3, 50, 4, 3)
+        b = training_inputs(2, 5, 20, 2, 9)
+        expected = [fresh_local_train(w, x, y, c, 3, 0.1) for (w, x, y), c in ((a, 3), (b, 9), (a, 3))]
+        flsim._WORKSPACES.by_shape.clear()
+        got = [flsim.local_train(w, x, y, c, 3, 0.1) for (w, x, y), c in ((a, 3), (b, 9), (a, 3))]
+        for e, g in zip(expected, got):
+            assert np.array_equal(e, g)
+
+    def test_a_returned_array_is_the_callers_own(self):
+        w0, xs, ys = training_inputs(3, 3, 40, 4, 5)
+        first = flsim.local_train(w0, xs, ys, 5, 3, 0.1)
+        expected = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(flsim.local_train(w0, xs, ys, 5, 3, 0.1), expected)
+
+    @pytest.mark.parametrize("weights, scale, lr, message", [
+        (0.0, 1e200, 1e200, WEIGHTS_DIVERGED),
+        (1e308, 10.0, 0.1, LOSS_DIVERGED),
+    ])
+    def test_a_diverged_call_leaves_nothing_behind(self, weights, scale, lr, message):
+        part = flsim.make_partition(3, 3, 150, 0.3, seed=7)
+        xs, ys = np.stack(part.client_features), np.stack(part.client_labels)
+        with pytest.raises(ValueError, match=exactly(message)):
+            flsim.local_train(np.full(15, weights), scale * xs, ys, 3, 5, lr)
+        w0 = np.linspace(-1, 1, 15)
+        assert np.array_equal(flsim.local_train(w0, xs, ys, 3, 5, 0.1), reference_train_loop(w0, xs, ys, 3, 5, 0.1))
+
+    def test_threads_keep_their_own_buffers(self):
+        w0, xs, ys = training_inputs(4, 4, 300, 4, 4)
+        expected = flsim.local_train(w0, xs, ys, 4, 5, 0.1)
+        results = [[] for _ in range(4)]
+
+        def train(out):
+            out.extend(flsim.local_train(w0, xs, ys, 4, 5, 0.1) for _ in range(20))
+
+        threads = [threading.Thread(target=train, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == 20 and all(np.array_equal(r, expected) for r in out) for out in results)
+
+    def test_the_cache_keeps_its_bound(self):
+        for c, n, f in itertools.product((2, 3, 4, 7, 8, 9, 16), (1, 33), (2, 3)):
+            w0, xs, ys = training_inputs(c, 2, n, f, c)
+            flsim.local_train(w0, xs, ys, c, 1, 0.1)
+            assert len(flsim._WORKSPACES.by_shape) <= flsim.MAX_WORKSPACES
 
 
 class TestFedAvg:
