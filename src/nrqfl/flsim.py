@@ -178,6 +178,7 @@ class _Workspace:
     """
 
     def __init__(self, lead: tuple, n: int, f: int, classes: int):
+        self.key = (lead + (n, f), classes)
         self.probs = np.empty((classes,) + lead + (n,))
         self.rows = np.empty(lead + (n,))
         self.by_sample = np.empty((n, classes) + lead)
@@ -192,28 +193,24 @@ class _Workspace:
         self.grad_flat = self.grad.reshape(lead + (-1,))
 
 
-MAX_WORKSPACES = 4  # training shapes whose buffers a thread keeps; one per client size in a round
+class _ThreadWorkspace(threading.local):
+    """Each thread's own workspace, so concurrent `local_train` calls never share a buffer."""
+
+    workspace = None
 
 
-class _Workspaces(threading.local):
-    """Each thread's own workspaces, so concurrent `local_train` calls never share a buffer."""
-
-    def __init__(self):
-        self.by_shape = {}  # (x.shape, classes) -> _Workspace, least recently used first
-
-
-_WORKSPACES = _Workspaces()
+_THREAD = _ThreadWorkspace()
 
 
 def _workspace(shape: tuple, classes: int) -> _Workspace:
-    """This thread's buffers for (..., n, f) features and `classes` classes, made on first use."""
-    cache, key = _WORKSPACES.by_shape, (shape, classes)
-    ws = cache.pop(key, None)
-    if ws is None:
-        ws = _Workspace(shape[:-2], shape[-2], shape[-1], classes)
-        while len(cache) >= MAX_WORKSPACES:
-            del cache[next(iter(cache))]
-    cache[key] = ws
+    """This thread's buffers for (..., n, f) features and `classes` classes, rebuilt when the shape changes.
+
+    Every client `make_partition` builds holds `samples_per_client` samples and
+    every round trains `selection_m` of them, so a run builds it once.
+    """
+    ws = _THREAD.workspace
+    if ws is None or ws.key != (shape, classes):
+        ws = _THREAD.workspace = _Workspace(shape[:-2], shape[-2], shape[-1], classes)
     return ws
 
 
@@ -290,9 +287,11 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
     # cost numpy one inner-loop call per sample for each reduction along the
     # 3-4-wide class axis. The bits are the row-wise ones:
     # - every logit and gradient entry is the same BLAS dot, over the same
-    #   operands in the same order, whichever operand is transposed, and
-    #   whether numpy allocates the output or writes into a buffer (`out=`
-    #   changes where a result lands, never how it is computed);
+    #   operands in the same order, whichever operand is transposed; each
+    #   matmul's `out=` view (`by_client`, `grad_w`) keeps unit stride along
+    #   its last axis, so numpy still hands those operands to BLAS (an output
+    #   without it sends matmul to numpy's own loop, which sums in another
+    #   order; `test_edge_shapes_equal_per_client_loop` checks the bits);
     # - a max is exact in any order; below 8 classes numpy sums a row left to
     #   right, and `add.reduce` over the class axis adds whole class slabs in
     #   order, which is the same sum; from 8 up, where numpy sums pairwise,
@@ -301,8 +300,9 @@ def local_train(weights: np.ndarray, x: np.ndarray, y: np.ndarray, classes: int,
     #   right; copying the deltas to sample-major (n, c, ...) and reducing
     #   axis 0 is the same sequential sum, with one inner loop per sample;
     # - subtracting a float one-hot subtracts the same 1.0 a bool one does.
-    # The buffers are `_workspace`'s, kept across calls: a fresh process
-    # otherwise faults in new pages for every round's (c, k, n) temporaries.
+    # The buffers are `_workspace`'s, kept across calls of one shape: a fresh
+    # process otherwise faults in new pages for every round's (c, k, n)
+    # temporaries.
     # Every buffer is written before it is read, so a call that diverges
     # leaves nothing behind. Probs are finite exactly when their sample's
     # total is; finite totals lie in [1, c], so their sum is finite exactly

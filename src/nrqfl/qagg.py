@@ -209,15 +209,6 @@ def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
     return np.array(draws, dtype=np.int64)
 
 
-@lru_cache(maxsize=16)
-def _stream_keys(groups: int, params: int, repeats: int) -> np.ndarray:
-    """The (parameter, group, repeat) stream key of each draw, in (group, parameter, repeat) order; read-only."""
-    group, param, rep = np.indices((groups, params, repeats)).reshape(3, -1)
-    keys = np.stack([param, group, rep], axis=1)
-    keys.flags.writeable = False
-    return keys
-
-
 def aggregate(
     client_vectors,
     bounds: WeightBounds,
@@ -253,14 +244,12 @@ def aggregate(
     if cfg.exact_expectation:
         z = 1.0 - 2.0 * p1
     else:
-        keys = _stream_keys(len(sizes), p, cfg.repeats)
+        group, param, rep = np.indices((len(sizes), p, cfg.repeats)).reshape(3, -1)
+        keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
         ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, cfg.repeats).tolist())
         z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, cfg.repeats) / cfg.shots)).sum(axis=2) / cfg.repeats
-    if len(set(sizes)) == 1:  # one depth: one transfer inverts every group
-        group_angles = z_to_angle(mitigation_transfer(cfg.mitigation, noise, sizes[0]).invert(z))
-    else:
-        group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
-                                 for g, d in enumerate(sizes)])
+    group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
+                             for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
     mean_angle = (group_angles * weights[:, None]).sum(axis=0) / weights.sum()
     return AggregateResult(vector=denormalize(mean_angle, bounds), clip_count=clip_count)

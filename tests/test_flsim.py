@@ -259,7 +259,7 @@ def training_inputs(seed, m, n, f, c):
 
 def fresh_local_train(*args):
     """`local_train` with no workspace left by an earlier call."""
-    flsim._WORKSPACES.by_shape.clear()
+    flsim._THREAD.workspace = None
     return flsim.local_train(*args)
 
 
@@ -280,7 +280,7 @@ class TestTrainingWorkspace:
         a = training_inputs(1, 3, 50, 4, 3)
         b = training_inputs(2, 5, 20, 2, 9)
         expected = [fresh_local_train(w, x, y, c, 3, 0.1) for (w, x, y), c in ((a, 3), (b, 9), (a, 3))]
-        flsim._WORKSPACES.by_shape.clear()
+        flsim._THREAD.workspace = None
         got = [flsim.local_train(w, x, y, c, 3, 0.1) for (w, x, y), c in ((a, 3), (b, 9), (a, 3))]
         for e, g in zip(expected, got):
             assert np.array_equal(e, g)
@@ -324,12 +324,6 @@ class TestTrainingWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(len(out) == 20 and all(np.array_equal(r, expected) for r in out) for out in results)
-
-    def test_the_cache_keeps_its_bound(self):
-        for c, n, f in itertools.product((2, 3, 4, 7, 8, 9, 16), (1, 33), (2, 3)):
-            w0, xs, ys = training_inputs(c, 2, n, f, c)
-            flsim.local_train(w0, xs, ys, c, 1, 0.1)
-            assert len(flsim._WORKSPACES.by_shape) <= flsim.MAX_WORKSPACES
 
 
 class TestFedAvg:
