@@ -15,7 +15,7 @@ import numpy as np
 
 from . import SUITE_VERSION, flsim, qagg
 from .config import STRATEGY_TABLE, ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
-from .encode import HALF_PI, WeightBounds
+from .encode import ANGLE_BOUNDS
 
 
 def _fmt(x) -> str:
@@ -110,7 +110,7 @@ def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
     trials = 300
     angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)
     result = qagg.replicated_aggregate(
-        angles, WeightBounds(0.0, HALF_PI), flsim.aggregation_config(cfg, strategy),
+        angles, ANGLE_BOUNDS, flsim.aggregation_config(cfg, strategy),
         cfg.noise, cfg.n_servers, seed_key=(cfg.seed, 0x5E),
     )
     return float(np.var(result.vector, ddof=1))

@@ -41,6 +41,10 @@ class WeightBounds:
         object.__setattr__(self, "hi", hi)
 
 
+ANGLE_BOUNDS = WeightBounds(0.0, HALF_PI)  # client values that are already angles
+WINDOW_PAD = 1e-9  # `bounds_from_values` pads a narrower window by max(WINDOW_PAD, |lo| * WINDOW_PAD) each side
+
+
 def normalize(values, bounds: WeightBounds) -> np.ndarray:
     """Affine map to angles in [0, pi/2], elementwise; out-of-range weights are clamped.
 
@@ -83,15 +87,15 @@ def angle_to_z(angle: float) -> float:
     return math.cos(2.0 * angle)
 
 
-def bounds_from_values(values, pad: float = 1e-9) -> WeightBounds:
+def bounds_from_values(values) -> WeightBounds:
     """Min/max bounds over axis 0 of the client values, padded so degenerate spans stay valid.
 
     1-D values give () bounds; an N x P array gives (P,) bounds, one per column.
     """
     arr = np.asarray(values, dtype=float)
     lo, hi = arr.min(axis=0), arr.max(axis=0)
-    narrow = hi - lo < pad
-    span = np.maximum(pad, np.abs(lo) * 1e-9)
+    narrow = hi - lo < WINDOW_PAD
+    span = np.maximum(WINDOW_PAD, np.abs(lo) * WINDOW_PAD)
     return WeightBounds(np.where(narrow, lo - span, lo), np.where(narrow, hi + span, hi))
 
 

@@ -25,69 +25,24 @@ DIVERGED_HINT = "reduce the learning rate (lr) or class_sep"
 WEIGHTS_DIVERGED = f"training weights diverged; {DIVERGED_HINT}"
 
 
-def _stack(arrays, members) -> np.ndarray:
-    """The clients `members` of `arrays` as one stack; an array that is already a stack is kept as it is."""
-    return arrays if isinstance(arrays, np.ndarray) else np.stack([arrays[i] for i in members])
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DataPartition:
     """Disjoint per-client datasets plus a globally held-out test set.
 
-    The client data comes as lists of per-client (n, f) features and (n,)
-    labels, or, for clients that all hold n samples, as one (k, n, f) and
-    (k, n) stack each. Clients of one sample count are stacked once, and
-    `client_features` and `client_labels` become lists of views of those
-    stacks: the data is held once, and a round gathers its clients' rows with
-    one fancy index per size.
+    Every client holds the same n samples, so the client data is one (k, n, f)
+    feature stack and one (k, n) label stack, and a round gathers its clients
+    with one fancy index.
     """
 
-    client_features: list
-    client_labels: list
+    client_features: np.ndarray
+    client_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
     classes: int
-    skew: float
-
-    def __post_init__(self):
-        sizes = np.array([len(x) for x in self.client_features])
-        if np.any(sizes == 0):
-            raise ValueError("every client must have at least one sample")
-        self._sizes = sizes
-        self._stacks = {}  # sample count -> (features (k, n, f), labels (k, n))
-        self._slot = np.empty(len(sizes), dtype=np.intp)  # each client's row in its stack
-        features, labels = [None] * len(sizes), [None] * len(sizes)
-        for n in sorted(set(sizes.tolist())):  # not np.unique: its first call imports numpy.ma
-            members = np.flatnonzero(sizes == n)
-            xs, ys = self._stacks[n] = (_stack(self.client_features, members), _stack(self.client_labels, members))
-            self._slot[members] = np.arange(len(members))
-            for i, x, y in zip(members.tolist(), xs, ys):
-                features[i], labels[i] = x, y
-        self.client_features, self.client_labels = features, labels
 
     @property
     def n_clients(self) -> int:
         return len(self.client_features)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self._sizes.copy()
-
-    def batches(self, clients) -> list:
-        """[(rows, features, labels)] per distinct sample count among `clients`, smallest first.
-
-        `rows` index into `clients`; features (k, n, f) and labels (k, n) are
-        those clients' data, in `rows` order.
-        """
-        clients = np.asarray(clients, dtype=np.intp)
-        sizes = self._sizes[clients]
-        out = []
-        for n in sorted(set(sizes.tolist())):
-            rows = np.flatnonzero(sizes == n)
-            xs, ys = self._stacks[n]
-            slots = self._slot[clients[rows]]
-            out.append((rows, xs[slots], ys[slots]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -157,7 +112,7 @@ def make_partition(
 
     test_y = rng.integers(0, classes, size=test_samples)
     test_x = means[test_y] + rng.normal(size=(test_samples, feature_dim))
-    return DataPartition(client_x, client_y, test_x, test_y, classes, skew)
+    return DataPartition(client_x, client_y, test_x, test_y, classes)
 
 
 def _split_weights(w: np.ndarray, f: int, classes: int) -> tuple:
@@ -392,12 +347,10 @@ def run_round(
     sv = qselect.select_clients(partition.n_clients, m, entropy, round_index)
     selected = sv.selected
 
-    sizes = partition.sizes[list(selected)]
-    # one training pass per client size (one per round on equal-size partitions)
-    updates = np.empty((len(selected), p))
-    for rows, xs, ys in partition.batches(selected):
-        updates[rows] = local_train(weights, xs, ys, partition.classes, cfg.local_epochs, cfg.lr)
-    classical_mean = fedavg_aggregate(updates, sizes)
+    rows = list(selected)
+    xs, ys = partition.client_features[rows], partition.client_labels[rows]
+    updates = local_train(weights, xs, ys, partition.classes, cfg.local_epochs, cfg.lr)
+    classical_mean = fedavg_aggregate(updates, np.full(len(rows), ys.shape[-1]))
 
     spec = STRATEGY_TABLE[strategy]
     new_weights, epsilon, mean_angle, clip_count = classical_mean, 0.0, 0.0, 0

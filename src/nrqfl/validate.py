@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qagg, qselect
 from .config import fused_gates
-from .encode import WeightBounds, decode_exact, encode
+from .encode import ANGLE_BOUNDS, HALF_PI, decode_exact, encode
 from .qcore import (
     DensityMatrix,
     KrausChannel,
@@ -45,9 +45,6 @@ from .qcore import (
 # 99th percentile of chi-square with 4 degrees of freedom (5 clients). For
 # df = 4 the survival function is exp(-x/2) * (1 + x/2), which is 0.01 here.
 CHI2_DF4_P99 = 13.276704135987622
-
-HALF_PI = math.pi / 2
-ANGLE_BOUNDS = WeightBounds(0.0, HALF_PI)  # client values that are already angles
 
 
 @dataclass(frozen=True)

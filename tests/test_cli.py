@@ -89,6 +89,11 @@ class TestParseConfig:
         assert cfg.noise.p_depol == 0.05
         assert cfg.noise.gamma == 0.03
 
+    def test_noise_object_replaces_the_whole_default(self):
+        # a key the object leaves out is 0, not its default
+        assert config_from_dict({"noise": {"p_depol": 0.1}}).noise == NoiseModel(p_depol=0.1)
+        assert config_from_dict({"noise": {}}).noise == NoiseModel()
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="noise.p_depol"):
             config_from_dict({"noise": {"p_depol": 1.5}})

@@ -67,16 +67,6 @@ def reference_evaluate(weights, x, y, classes):
     return float(np.mean(pred == y)), float(np.mean(f1s))
 
 
-def unequal_partition(sizes=(300, 120, 300, 7, 120, 1), seed=4):
-    """A directly built partition whose clients hold different sample counts."""
-    full = flsim.make_partition(len(sizes), 3, max(sizes), 0.5, seed=seed, test_samples=200)
-    return flsim.DataPartition(
-        [x[:k] for x, k in zip(full.client_features, sizes)],
-        [y[:k] for y, k in zip(full.client_labels, sizes)],
-        full.test_features, full.test_labels, full.classes, full.skew,
-    )
-
-
 class TestMakePartition:
     def test_deterministic(self):
         a = flsim.make_partition(5, 3, 100, 0.5, seed=42)
@@ -113,17 +103,16 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             flsim.make_partition(1, 3, 50, 0.5, seed=0)
 
-    @pytest.mark.parametrize("make", [lambda: flsim.make_partition(4, 3, 50, 0.7, seed=1), unequal_partition],
-                             ids=["equal", "unequal"])
+    @pytest.mark.parametrize("make", [lambda: flsim.make_partition(4, 3, 50, 0.7, seed=1)], ids=["equal"])
     def test_client_arrays_are_views_of_the_stacks(self, make):
-        # the data is held once: each client's arrays are rows of its size's stacks
+        # the data is held once: each client's arrays are rows of the two stacks
         part = make()
         stacks = {}
         for x, y in zip(part.client_features, part.client_labels):
             xs, ys = stacks.setdefault(len(y), (x.base, y.base))
             assert isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
             assert x.base is xs and y.base is ys
-        assert sorted(stacks) == sorted(set(part.sizes.tolist()))
+        assert sorted(stacks) == [part.client_labels.shape[1]] == [50]
         assert sum(xs.nbytes + ys.nbytes for xs, ys in stacks.values()) == sum(
             x.nbytes + y.nbytes for x, y in zip(part.client_features, part.client_labels))
 
@@ -475,8 +464,8 @@ def test_aggregation_config_reads_the_strategy_table():
 class TestRunRoundBatching:
     @pytest.mark.parametrize("strategy", flsim.STRATEGIES)
     @pytest.mark.parametrize("selection_m", [None, 4])
-    def test_unequal_sizes_match_per_client_oracle(self, monkeypatch, strategy, selection_m):
-        part = unequal_partition()
+    def test_one_training_call_matches_per_client_oracle(self, monkeypatch, strategy, selection_m):
+        part = flsim.make_partition(6, 3, 120, 0.5, seed=4, test_samples=200)
         cfg = ExperimentConfig(n_clients=6, selection_m=selection_m, rounds=1, shots=512, seed=2)
         weights = np.random.default_rng(1).normal(scale=0.2, size=(cfg.feature_dim + 1) * cfg.classes)
 
@@ -490,8 +479,7 @@ class TestRunRoundBatching:
         monkeypatch.setattr(flsim, "fedavg_aggregate", lambda v, s: (seen.append(v), spy(v, s))[1])
         new_w, record = flsim.run_round(strategy, 1, weights, part, cfg, entropy())
 
-        sizes = part.sizes[list(record.selected)]
-        assert len(calls) == len(set(sizes)) and sum(calls) == len(record.selected)
+        assert calls == [len(record.selected)]
         expected = reference_train_loop(
             weights, [part.client_features[i] for i in record.selected],
             [part.client_labels[i] for i in record.selected], part.classes, cfg.local_epochs, cfg.lr)
