@@ -27,7 +27,7 @@ def _fmt(x) -> str:
 # The output table: what every file writes, in order. rounds.csv has one column per RoundRecord field
 # of CSV_HEADER. A strategy's summary.json block has one key per SUMMARY_TABLE row: the reduction of a
 # RoundRecord field over the strategy's rounds. A sweep.csv row copies the keys marked for it.
-CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
+CSV_HEADER = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected"]
 REDUCTIONS = {  # a field's values over one strategy's rounds -> its summary value; "rounds": 0 is legal
     "last": lambda values: values[-1] if values else None,
     "total": lambda values: int(sum(values)),

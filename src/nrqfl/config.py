@@ -181,7 +181,6 @@ class ExperimentConfig:
     selection_m: int | None = None
     fixed_weight_bound: float = 4.0
     exact_expectation: bool = False
-    record_timing: bool = False
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -212,9 +211,8 @@ class ExperimentConfig:
         if self.mitigation not in MITIGATIONS:
             raise ConfigError(f"mitigation must be one of {', '.join(MITIGATIONS)} (measurement averaging is set "
                               f"by repeats alone), got {self.mitigation!r}")
-        for name in ("exact_expectation", "record_timing"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.exact_expectation, bool):
+            raise ConfigError(f"exact_expectation must be true or false, got {self.exact_expectation!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         _check_noise({name: getattr(self.noise, name) for name in _NOISE_KEYS})
@@ -269,6 +267,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+class _JSONObject(dict):
+    """A JSON object that keeps, as `repeated`, the first key it holds twice; json.loads would keep its last value."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        seen = set()  # seen.add returns None, so a key is yielded at its second appearance
+        self.repeated = next((k for k, _ in pairs if k in seen or seen.add(k)), None)
+
+
 def parse_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
     """Load JSON config (or defaults when path is None) and apply CLI overrides."""
     data: dict = {}
@@ -276,10 +283,14 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> Expe
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {p}: {exc}") from exc
+        try:  # JSON text is UTF-8 (RFC 8259) whatever the locale says
+            data = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_JSONObject)
+        except (ValueError, RecursionError) as exc:  # a decode error, malformed JSON, a huge integer, deep nesting
+            raise ConfigError(f"config file {p} is not UTF-8 JSON text: {exc}") from exc
+        # only the top level and noise may hold objects; any other object value fails its type check
+        for prefix, obj in (("", data), ("noise.", data.get("noise") if isinstance(data, dict) else None)):
+            if isinstance(obj, _JSONObject) and obj.repeated is not None:
+                raise ConfigError(f"config key {prefix}{obj.repeated} appears more than once in {p}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)

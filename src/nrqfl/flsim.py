@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ class RoundRecord:
     bytes_up: int
     bytes_down: int
     selected: tuple
-    wall_ms: int
     epsilon: float = 0.0       # D(rho, E(rho)) of the round's mean encoded state
     mean_angle: float = 0.0    # angle behind epsilon, kept for auditability
     agg_error: float = 0.0     # mean |aggregate - classical mean| per parameter
@@ -341,7 +339,6 @@ def run_round(
     """One Algorithm-1 round; returns (new_weights, RoundRecord)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    t0 = time.perf_counter()
     p = len(weights)
     m = cfg.selection_m if cfg.selection_m is not None else partition.n_clients
     sv = qselect.select_clients(partition.n_clients, m, entropy, round_index)
@@ -370,7 +367,6 @@ def run_round(
 
     acc, f1 = evaluate(new_weights, partition.test_features, partition.test_labels, partition.classes)
     bytes_down = 8 * p * partition.n_clients
-    wall_ms = int((time.perf_counter() - t0) * 1000) if cfg.record_timing else 0
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is surfaced below
         grad_variance = _grad_variance(updates)
@@ -380,7 +376,7 @@ def run_round(
         raise ValueError(WEIGHTS_DIVERGED)
     return new_weights, RoundRecord(
         round=round_index, strategy=strategy, accuracy=acc, f1=f1, grad_variance=grad_variance,
-        bytes_up=bytes_up, bytes_down=bytes_down, selected=selected, wall_ms=wall_ms,
+        bytes_up=bytes_up, bytes_down=bytes_down, selected=selected,
         epsilon=epsilon, mean_angle=mean_angle, agg_error=agg_error, clip_count=clip_count,
     )
 

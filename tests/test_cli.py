@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from nrqfl.qcore import DensityMatrix, KrausChannel, NoiseModel
 ROOT = Path(__file__).resolve().parents[1]
 
 FAST = {"n_clients": 4, "samples_per_client": 80, "test_samples": 200, "rounds": 3, "shots": 512}
-CSV_COLUMNS = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected", "wall_ms"]
+CSV_COLUMNS = ["round", "strategy", "accuracy", "f1", "grad_variance", "bytes_up", "bytes_down", "selected"]
 
 
 def reference_calibration(noise, depth):
@@ -266,6 +267,29 @@ def test_any_json_object_is_a_config_or_a_config_error(data):
     assert config_from_dict(cfg.to_dict()) == cfg  # summary.json's config echo parses back to the run's config
 
 
+def _object_text(pairs) -> str:
+    """A JSON object's text with the (key, value) pairs in order; unlike a dict, it can repeat a key."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+_CONFIG_TEXTS = st.lists(st.sampled_from(_CONFIG_KEYS + ("typo",)), max_size=6).flatmap(
+    lambda keys: st.tuples(*(st.tuples(st.just(k), _config_value(k)) for k in keys))).map(_object_text)
+
+
+@given(st.binary(max_size=40) | st.text(max_size=40).map(str.encode) | _CONFIG_TEXTS.map(str.encode))
+@settings(max_examples=200, deadline=None)
+def test_any_config_file_is_a_config_or_a_config_error(content):
+    # the file is made here: a function-scoped tmp_path would be shared by every example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(content)
+        try:
+            cfg = parse_config(path)
+        except ConfigError:
+            return
+    assert isinstance(cfg, ExperimentConfig)
+
+
 _SMALL = {"samples_per_client": 12, "test_samples": 20, "rounds": 2}
 _COUNTS = ("n_clients", "samples_per_client", "test_samples", "classes", "feature_dim", "rounds", "local_epochs",
            "repeats", "n_servers")
@@ -321,7 +345,7 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"noise": {"p_depol": True}}, "p_depol"),
         ({"noise": {"gamma": "0.1"}}, "gamma"),
         ({"exact_expectation": "yes"}, "exact_expectation"),
-        ({"record_timing": 1}, "record_timing"),
+        ({"record_timing": False}, "record_timing"),  # the removed knob, as every older summary.json echoes it
         ({"noise": {"gamma": 1.0}, "selection_m": 3}, "noise"),
         ({"selection_m": True}, "selection_m"),
         ({"selection_m": "3"}, "selection_m"),
@@ -345,19 +369,28 @@ def test_cli_import_does_not_load_the_invariant_suite():
         (["--strategy", "fedavg,fedavg"], "strategies"),
         ({"fixed_weight_bound": 1e308, "samples_per_client": 12, "test_samples": 20, "rounds": 2},
          "fixed_weight_bound"),
+        ('{"seed": 1, "seed": 2, "rounds": 1, "strategies": ["fedavg"]}', "config key seed "),
+        ('{"rounds": 1, "noise": {"p_depol": 0.1, "gamma": 0.0, "p_depol": 0.2}}', "config key noise.p_depol "),
+        (b'\xff\xfe{\x00}\x00', "cfg.json is not UTF-8 JSON text"),
+        ("[" * 10**5 + "]" * 10**5, "cfg.json is not UTF-8 JSON text"),
     ],
     ids=["mitigation", "mitigation-flag-list", "mitigation-bogus", "seed-str", "seed-bool", "noise-bool", "noise-str",
-         "exact-str", "timing-int", "dead-entropy",
+         "exact-str", "timing-removed", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
-         "repeated-strategy-flag", "bound-width-overflow"],
+         "repeated-strategy-flag", "bound-width-overflow", "repeated-key", "repeated-noise-key", "utf16-file",
+         "deep-nesting"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
-    # a dict goes into the config file, a list is passed as command-line flags
+    # a dict goes into the config file, str or bytes are the file's whole content, a list is passed as flags
     flags = extra if isinstance(extra, list) else []
     out = tmp_path / "never"
-    cfg_path = write_cfg(tmp_path, None if flags else extra)
+    if isinstance(extra, (str, bytes)):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(extra if isinstance(extra, bytes) else extra.encode())
+    else:
+        cfg_path = write_cfg(tmp_path, None if flags else extra)
     assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()

@@ -9,6 +9,8 @@ from nrqfl.config import MITIGATIONS, STRATEGIES
 
 SRC = Path(nrqfl.__file__).parent
 SUMMARY_KEYS = {key for key, *_ in SUMMARY_TABLE}
+CLOCK_MODULES = {"time", "datetime"}
+SEEDED_CALLS = {"default_rng", "SeedSequence"}  # numpy seeds these from the operating system when given no seed
 
 
 def strategy_name_literals(source: str) -> list:
@@ -43,6 +45,39 @@ def summary_key_literals(source: str) -> list:
     """(line, key) of every string constant in `source` equal to a summary.json key."""
     return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Constant) and node.value in SUMMARY_KEYS)
+
+
+def clock_reads(source: str) -> list:
+    """(line, name) of every import of a clock module in `source`, and of every unseeded SEEDED_CALLS call.
+
+    A call is unseeded when it passes no first argument and no `seed` or `entropy` keyword, or passes None.
+    """
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] in CLOCK_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in CLOCK_MODULES:
+            hits.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            seeds = node.args[:1] + [k.value for k in node.keywords if k.arg in ("seed", "entropy")]
+            if name in SEEDED_CALLS and all(isinstance(v, ast.Constant) and v.value is None for v in seeds):
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_no_module_reads_a_clock():
+    # a run's outputs are a function of its config and seed alone; perfbench times rounds from outside
+    found = {path.name: clock_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_clock_reads_are_found():
+    source = ("import time\nfrom time import perf_counter\nimport datetime as dt, os\nimport timeit\n"
+              "rng = np.random.default_rng()\nok = default_rng(seed)\nss = np.random.SeedSequence(entropy=None)\n"
+              "x = SeedSequence([1, 2])\nfrom .time import y\nz = default_rng(None)\n")
+    assert clock_reads(source) == [(1, "time"), (2, "time"), (3, "datetime"), (5, "default_rng"),
+                                   (7, "SeedSequence"), (10, "default_rng")]
 
 
 def test_only_config_names_a_strategy():

@@ -44,8 +44,8 @@ WIDE_LIKE = {
 GOLDEN = {
     "criterion-10": (
         {"rounds": 8, "seed": 13, "samples_per_client": 100, "test_samples": 200},
-        ("5b7c6e82909e1a8c9db53540d764714fb0e7ef7de2b38e7ef962b2b842dbb1bb",
-         "dfed669ac3272a2b501a746829d4709c7782959bb0b34a46e1d4eb49786614ed"),
+        ("6acfdd3d979712684e8a37554b3d4c8289685dc077262c76a73c809d062a846d",
+         "b1c7a07e8e27c618bb47550c7957537d373bc73a413d72a64bb30e304f59a108"),
         {"fedavg": {"final_accuracy": 0.94, "final_f1": 0.9395629512417832,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 4800, "total_bytes_down": 4800, "total_clipped": 0},
@@ -60,8 +60,8 @@ GOLDEN = {
     "nrqfl-3-servers": (
         {"rounds": 6, "seed": 7, "n_servers": 3, "strategies": ["nrqfl"], "samples_per_client": 100,
          "test_samples": 200},
-        ("70a4048453b57d4baf623e929efcade35df4855fac2559f0ec18d86a31338fe6",
-         "622beff4142a861ab25e5056855cde2566b567490c9cac3205b02faae18e5b57"),
+        ("40ff993a151a6cfd217fac99cb6b43b9b34be075bf747060cf9dd833c1fb1603",
+         "ab7a03a4890de7219db4a0d1632190f70b90914ac30a3273d8425a47acd2c21b"),
         {"nrqfl": {"final_accuracy": 0.895, "final_f1": 0.8956868511113146,
                    "mean_agg_error": 0.00024341155294778076, "mean_epsilon": 0.04175397852473805,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
@@ -69,8 +69,8 @@ GOLDEN = {
     # a seed above 2**64 splits into three 32-bit words of every shot-stream key
     "multi-word-seed": (
         {"rounds": 6, "seed": 2**64 + 3, "samples_per_client": 100, "test_samples": 200},
-        ("8022ffbe87cbcf43a2f69f5c160258f61ce9565ec1367908586c57376ea0dd63",
-         "9f6c794f73849f585d0b8c62db2c163ed8c7ac1050d7245e0a421ede2e461b0e"),
+        ("37d904b6ac0abb372b50126c5ee258b9640d4f10120086196b4873ad740b5fc8",
+         "8a6250d9734d62fbc94a5d3c96065e6ca7e5487df87a1368ea72bf233443140e"),
         {"fedavg": {"final_accuracy": 0.955, "final_f1": 0.9544569937633253,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
@@ -85,8 +85,8 @@ GOLDEN = {
     "nine-classes": (
         {"rounds": 6, "seed": 17, "classes": 9, "feature_dim": 3, "samples_per_client": 100,
          "test_samples": 200},
-        ("e862c5c3bb73fd406f3ca03fba8d1805c958bc295575898592d19efa54f979ce",
-         "31813cf7f6bb054ec5f159d0a8d3464193d313feee8ea6eeeb2d4e94603b0dd9"),
+        ("80d23cd2979bc89aaa75164e1d78106bb154bc5540a02515fd32735ce8485b50",
+         "07194e06365e13a210d9327a70aa787024f9fc7672b6eb0bd8ad0537fd212e19"),
         {"fedavg": {"final_accuracy": 0.465, "final_f1": 0.41311127144460474,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 8640, "total_bytes_down": 8640, "total_clipped": 0},
@@ -101,8 +101,8 @@ GOLDEN = {
     "strategy-order": (
         {"rounds": 6, "seed": 19, "strategies": ["nrqfl", "fedavg", "qfl"], "samples_per_client": 100,
          "test_samples": 200},
-        ("fa1f701266a0467a46e8135be372967b74e2ed4e0ae7fc563d0e441204401c18",
-         "25d60f3e6d2d169df2a46d806348fb641a37f2bd8cec2a7dfc552eb76758edaf"),
+        ("980f82b870d5fed7f025b854d7d9d665e42935f167d6046d65c8ae899c5b06e8",
+         "9e8aaea6ab4c6b581ddf22f3438c6b667a1e9ebac09f3d9f5d1aed4376c8ee65"),
         {"nrqfl": {"final_accuracy": 0.905, "final_f1": 0.9045912739168473,
                    "mean_agg_error": 0.0004395061033990698, "mean_epsilon": 0.044138530483864076,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0},
@@ -118,8 +118,8 @@ GOLDEN = {
     "qfl-clipping": (
         {"rounds": 6, "seed": 23, "fixed_weight_bound": 0.05, "strategies": ["qfl", "nrqfl"],
          "samples_per_client": 100, "test_samples": 200},
-        ("5bb8768a6ccbac20bbdd5c0c25c219ebd1318b7a3d9e3694e8b64f5d79c56ac6",
-         "a4018f93a1e4dc185cd9d73b4154a73144d2df815caae960519f8c2de1dfb16f"),
+        ("529734526f1b934211d24d9dfdc0ddd70910acb3edc28294ce3eead93aa41062",
+         "b76ed1fb6d1177b3d4c4a1887f07231859ed6eea1989e3a46dec617a3846a90f"),
         {"qfl": {"final_accuracy": 0.86, "final_f1": 0.8584577883063824,
                  "mean_agg_error": 0.06772569905627461, "mean_epsilon": 0.04107943953755626,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 193},
@@ -131,8 +131,8 @@ GOLDEN = {
     "channel-inversion": (
         {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "channel_inversion", "repeats": 1,
          "samples_per_client": 100, "test_samples": 200},
-        ("f345719ef685f7724f9794706c8f54bd2aaf29d9d0d4c250e59f5a1aa3cef17d",
-         "3362634d2f890abb0de6ef14221ba6ee43fc29f9a8d1076d9922b305f978071f"),
+        ("ecb39938301050cd8c458485b42953526ff93a9151c5caf1a4cceb9298b6f6fa",
+         "c440a150856964e911badac308dcf6e4d0b062e781f233820fab1cdf2b04545f"),
         {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
                  "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
@@ -144,8 +144,8 @@ GOLDEN = {
     "averaging-only": (
         {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "none", "repeats": 5,
          "samples_per_client": 100, "test_samples": 200},
-        ("cfc4681eb5d80bb9e4a1de8b0fddf5b29400f0845521fd67a1dcc69ea90b2861",
-         "3e2ee8406b5ea4def09714bab1f6c084e61fb25eaa70ded9ee5b25bec9f93d9d"),
+        ("0144f83ff351b3f4b5df07e259c055ce24857f45052e05cbc9a32f087f94e510",
+         "af3b09f7eb37d4af536ba2a9cce4195329515afc3ab076562d9bdac6f8c456aa"),
         {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
                  "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
@@ -155,8 +155,8 @@ GOLDEN = {
     ),
     "wide-like": (
         WIDE_LIKE,
-        ("7b25fd869ee997a8731e21f88598cc04751d55e15b07ce5e865b7377d518221a",
-         "518b94dc2537ba3a320b6ce5e7e15e94955b6aab8a84aaf1b5ed61a064dabfb1"),
+        ("0395b47261e4255b3f20eed1e64c32516baa4f55324c0d4db433b1e7079e03a6",
+         "433830e36a985ed3ddbef229df123bea16572160a552491247846bce2c597428"),
         {"fedavg": {"final_accuracy": 0.8483333333333334, "final_f1": 0.8485659358599895,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 16000, "total_bytes_down": 64000, "total_clipped": 0},
