@@ -287,8 +287,10 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> Expe
             data = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_JSONObject)
         except (ValueError, RecursionError) as exc:  # a decode error, malformed JSON, a huge integer, deep nesting
             raise ConfigError(f"config file {p} is not UTF-8 JSON text: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {p} is not a JSON object")
         # only the top level and noise may hold objects; any other object value fails its type check
-        for prefix, obj in (("", data), ("noise.", data.get("noise") if isinstance(data, dict) else None)):
+        for prefix, obj in (("", data), ("noise.", data.get("noise"))):
             if isinstance(obj, _JSONObject) and obj.repeated is not None:
                 raise ConfigError(f"config key {prefix}{obj.repeated} appears more than once in {p}")
     if overrides:

@@ -3,7 +3,7 @@
 Client angles are fused on a single qubit by composing Ry(2*a_k/N) rotations
 (`config.fused_gates`); about a common axis these add, so the noiseless
 circuit prepares exactly the state encoding mean(a). One noise-channel pass
-per gate defines the circuit depth d used by the variance bound. More than 9 clients are split into groups
+per gate defines the circuit depth d. More than 9 clients are split into groups
 of <= 9 (depth stays below 10) whose results are combined by a size-weighted
 classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
 `aggregate` takes the circuits of all parameters of a group in one call. The
@@ -34,9 +34,9 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .config import (DEFAULT_PROBES, MAX_GROUP, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
+from .config import (DEFAULT_PROBES, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
                      group_sizes, mitigation_transfer)
-from .encode import HALF_PI, WeightBounds, denormalize, normalize, z_to_angle
+from .encode import WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import (
     DensityMatrix,
     KrausChannel,
@@ -49,8 +49,7 @@ from .qcore import (
     sample_measurement,
 )
 
-SIGMA_SHOT = 0.5  # per-shot standard deviation in `variance_bound`'s shot term
-SIGMA_GATE_SAFETY = 1.4  # factor on the largest excess variance `fit_sigma_gate` fits
+SIGMA_SHOT = 0.5  # per-shot standard deviation of the decoded angle arcsin(sqrt(p)), to first order at any p
 _WORD = 0xFFFFFFFF
 _OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]  # pool words each word mixes into
 
@@ -273,9 +272,10 @@ def replicated_aggregate(
     return AggregateResult(vector=np.median(stacked, axis=0), clip_count=results[0].clip_count)
 
 
-def variance_bound(shots: int, n_clients: int, depth: int, sigma_gate: float) -> float:
-    """SIGMA_SHOT^2/(N*S) + sigma_gate^2 * d / N."""
-    return SIGMA_SHOT**2 / (n_clients * shots) + sigma_gate**2 * depth / n_clients
+def variance_bound(shots: int) -> float:
+    """SIGMA_SHOT^2/S: arcsin(sqrt(p_hat)) stabilises the variance of a shot-S binomial estimate
+    (Anscombe 1948), so neither the depth nor the client count enters; gate noise moves only the mean."""
+    return SIGMA_SHOT**2 / shots
 
 
 def empirical_variance(
@@ -295,30 +295,6 @@ def empirical_variance(
     ones = rng.binomial(shots, float(circuit_p1(gates, noise)), size=trials)
     angles = np.arcsin(np.sqrt(ones / shots))
     return float(np.var(angles, ddof=1))
-
-
-def fit_sigma_gate(
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    shot_grid=(256, 1024, 4096, 16384, 65536),
-    depths=range(1, MAX_GROUP + 1),
-    trials: int = 300,
-) -> float:
-    """Calibrate sigma_gate once so the variance bound holds on a sweep.
-
-    The bound is treated as a falsifiable contract: sigma_gate^2 is set to the
-    largest excess of empirical variance over the shot term across the grid,
-    times SIGMA_GATE_SAFETY.
-    """
-    worst = 0.0
-    for d in depths:
-        for s in shot_grid:
-            angles = rng.uniform(0.05, HALF_PI - 0.05, size=d)
-            ev = empirical_variance(fused_gates(angles), noise, s, trials, rng)
-            # single-group circuits have N = d, so the gate term of the bound is
-            # sigma_gate^2 exactly; the excess over the shot term calibrates it
-            worst = max(worst, ev - SIGMA_SHOT**2 / (d * s))
-    return math.sqrt(SIGMA_GATE_SAFETY * worst) if worst > 0 else 0.0
 
 
 def commutation_check(channel: KrausChannel, m: Observable, state: DensityMatrix):

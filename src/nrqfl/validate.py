@@ -206,23 +206,22 @@ def check_theorem1_noise_bound() -> CheckResult:
     return CheckResult("theorem1_noise_bound", worst < 1e-9, f"worst deviation from oracle {worst:.2e}")
 
 
-def check_theorem2_bound_soundness(seed: int = 18, fit_seed: int = 19, configs: int = 300,
-                                   trials: int = 200) -> CheckResult:
+def check_theorem2_bound_soundness(seed: int = 18, configs: int = 300, trials: int = 200) -> CheckResult:
     rng = np.random.default_rng(seed)
     noise = NoiseModel(p_depol=0.05, gamma=0.03)
-    sigma_gate = qagg.fit_sigma_gate(noise, np.random.default_rng(fit_seed), trials=trials)
-    violations = 0
+    slack = 1 + 3 * math.sqrt(2 / (trials - 1))  # 3 sigma of a sample variance over `trials` normal draws
+    violations, worst = 0, 0.0
     for _ in range(configs):
         n = int(rng.integers(1, 10))
         shots = int(rng.integers(256, 65537))
         angles = rng.uniform(0.05, HALF_PI - 0.05, size=n)
-        ev = qagg.empirical_variance(fused_gates(angles), noise, shots, trials, rng)
-        if ev > qagg.variance_bound(shots, n, n, sigma_gate):
-            violations += 1
+        ratio = qagg.empirical_variance(fused_gates(angles), noise, shots, trials, rng) / qagg.variance_bound(shots)
+        violations += ratio > slack
+        worst = max(worst, ratio)
     rate = violations / configs
     return CheckResult(
         "theorem2_bound_soundness", rate <= 0.05,
-        f"violation rate {rate:.3f} (sigma_gate={sigma_gate:.4f})",
+        f"violation rate {rate:.3f}, worst variance/bound {worst:.3f}",
     )
 
 

@@ -83,7 +83,7 @@ def test_criterion_4_theorem1_noise_bound():
 
 def test_criterion_5_theorem2_bound_soundness():
     t0 = time.perf_counter()
-    result = validate.check_theorem2_bound_soundness(seed=3, fit_seed=2, configs=1000, trials=300)
+    result = validate.check_theorem2_bound_soundness(seed=3, configs=1000, trials=300)
     gates = fused_gates([0.3, 0.5, 0.7, 0.9, 1.1])
     v1 = qagg.empirical_variance(gates, DEFAULT_NOISE, 2048, 500, np.random.default_rng(4))
     v4 = qagg.empirical_variance(gates, DEFAULT_NOISE, 8192, 500, np.random.default_rng(5))

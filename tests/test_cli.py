@@ -283,8 +283,10 @@ def test_any_config_file_is_a_config_or_a_config_error(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_bytes(content)
+        # the overrides `main` passes, every value None when no flag is given
+        overrides = cli._overrides(cli.build_parser().parse_args(["run", "--config", str(path)]))
         try:
-            cfg = parse_config(path)
+            cfg = parse_config(path, overrides)
         except ConfigError:
             return
     assert isinstance(cfg, ExperimentConfig)
@@ -373,6 +375,9 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ('{"rounds": 1, "noise": {"p_depol": 0.1, "gamma": 0.0, "p_depol": 0.2}}', "config key noise.p_depol "),
         (b'\xff\xfe{\x00}\x00', "cfg.json is not UTF-8 JSON text"),
         ("[" * 10**5 + "]" * 10**5, "cfg.json is not UTF-8 JSON text"),
+        ("[1, 2]", "cfg.json is not a JSON object"),
+        ("null", "cfg.json is not a JSON object"),
+        ("3", "cfg.json is not a JSON object"),
     ],
     ids=["mitigation", "mitigation-flag-list", "mitigation-bogus", "seed-str", "seed-bool", "noise-bool", "noise-str",
          "exact-str", "timing-removed", "dead-entropy",
@@ -380,7 +385,7 @@ def test_cli_import_does_not_load_the_invariant_suite():
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
          "repeated-strategy-flag", "bound-width-overflow", "repeated-key", "repeated-noise-key", "utf16-file",
-         "deep-nesting"],
+         "deep-nesting", "top-level-list", "top-level-null", "top-level-number"],
 )
 def test_bad_config_exits_2_naming_key(tmp_path, capsys, extra, key):
     # a dict goes into the config file, str or bytes are the file's whole content, a list is passed as flags
@@ -507,7 +512,7 @@ class TestCmdRun:
         for cls in (DensityMatrix, KrausChannel):
             monkeypatch.setattr(cls, "__post_init__",
                                 lambda self, init=cls.__post_init__: built.append(type(self).__name__) or init(self))
-        for name in ("run_plan", "simulate_plan", "calibrate", "empirical_variance", "fit_sigma_gate"):
+        for name in ("run_plan", "simulate_plan", "calibrate", "empirical_variance"):
             monkeypatch.setattr(qagg, name, lambda *a, name=name, f=getattr(qagg, name), **k: built.append(name)
                                 or f(*a, **k))
         assert main(["run", "--config", str(write_cfg(tmp_path, extra)), "--out", str(tmp_path / "out")]) == 0
