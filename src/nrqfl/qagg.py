@@ -37,17 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .config import (DEFAULT_PROBES, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
                      group_sizes, mitigation_transfer)
 from .encode import WeightBounds, denormalize, normalize, z_to_angle
-from .qcore import (
-    DensityMatrix,
-    KrausChannel,
-    NoiseModel,
-    Observable,
-    apply_channel,
-    circuit_bloch,
-    circuit_p1,
-    expectation,
-    sample_measurement,
-)
+from .qcore import DensityMatrix, NoiseModel, circuit_bloch, circuit_p1, sample_measurement
 
 SIGMA_SHOT = 0.5  # per-shot standard deviation of the decoded angle arcsin(sqrt(p)), to first order at any p
 _WORD = 0xFFFFFFFF
@@ -295,13 +285,6 @@ def empirical_variance(
     ones = rng.binomial(shots, float(circuit_p1(gates, noise)), size=trials)
     angles = np.arcsin(np.sqrt(ones / shots))
     return float(np.var(angles, ddof=1))
-
-
-def commutation_check(channel: KrausChannel, m: Observable, state: DensityMatrix):
-    """Theorem-3 style test: Tr(M rho) vs Tr(M E(rho))."""
-    lhs = expectation(state, m)
-    rhs = expectation(apply_channel(state, channel), m)
-    return lhs, rhs, abs(lhs - rhs) < 1e-10
 
 
 def noise_deviation(angle: float, noise: NoiseModel) -> float:

@@ -177,16 +177,6 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
     return KrausChannel((e0, e1), label=f"amplitude_damping({gamma})")
 
 
-def identity_channel() -> KrausChannel:
-    return KrausChannel((I2,), label="identity")
-
-
-def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """Channel applying `first` then `second`: Kraus set {B_j A_i}."""
-    ops = tuple(b @ a for a in first.operators for b in second.operators)
-    return KrausChannel(ops, label=f"{second.label}∘{first.label}")
-
-
 def apply_unitary(state: DensityMatrix, u) -> DensityMatrix:
     """Conjugate by a 2x2 unitary: rho -> U rho U^dag."""
     u = _as_matrix(u)

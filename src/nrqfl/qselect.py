@@ -86,23 +86,6 @@ class EntropySource:
         return out
 
 
-class FixedBits:
-    """Replayable bit source for deterministic tests."""
-
-    def __init__(self, bits):
-        self._bits = np.asarray(bits, dtype=np.uint8)
-        self._pos = 0
-        self.bits_consumed = 0
-
-    def take(self, k: int) -> np.ndarray:
-        if self._pos + k > len(self._bits):
-            raise ValueError("fixed bit source exhausted")
-        out = self._bits[self._pos : self._pos + k]
-        self._pos += k
-        self.bits_consumed += k
-        return out
-
-
 def select_clients(n: int, m: int, bits, round_index: int = 0) -> SelectionVector:
     """Uniformly draw an m-of-n subset via rejection sampling on bit-built indices."""
     if not 1 <= m <= n:

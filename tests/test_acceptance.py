@@ -1,13 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 1, 2, 3, 5 and 6 run the `nrqfl validate` checks at this suite's
-seeds and sizes, so each invariant has one implementation. Run with
+Criteria 1-7 and 9 run the `nrqfl validate` checks at this suite's seeds and
+sizes, so each invariant has one implementation. Run with
 `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The heavyweight ten-seed comparison (criterion 8) is computed once in a
 session fixture shared by its sub-assertions.
 """
 
-import math
 import time
 
 import numpy as np
@@ -16,14 +15,8 @@ from scipy import stats
 
 from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
-from nrqfl.config import ExperimentConfig, fused_gates, mitigation_transfer
-from nrqfl.encode import HALF_PI, encode
-from nrqfl.qcore import (
-    NoiseModel,
-    apply_channel,
-    compose_channels,
-    identity_channel,
-)
+from nrqfl.config import ExperimentConfig, fused_gates
+from nrqfl.qcore import NoiseModel
 
 DEFAULT_NOISE = NoiseModel(p_depol=0.05, gamma=0.03)
 
@@ -62,23 +55,11 @@ def test_criterion_3_theorem1_linearity():
 
 
 def test_criterion_4_theorem1_noise_bound():
-    # analytic case: dephasing p on |+> (angle pi/4) gives exactly p
-    worst_analytic = max(
-        abs(qagg.noise_deviation(math.pi / 4, NoiseModel(p_deph=p)) - p) for p in (0.01, 0.05, 0.1, 0.3)
-    )
-    # per-round reported epsilon vs an independent SVD eigensolve oracle
+    # every epsilon a 5-round nrqfl run reports is held to the oracle beside the check's own draws
     cfg = ExperimentConfig(rounds=5, samples_per_client=100, test_samples=200, strategies=("nrqfl",))
-    channel = identity_channel()
-    for ch in cfg.noise.gate_channels():
-        channel = compose_channels(channel, ch)
-    worst_round = 0.0
-    for rec in flsim.run_experiment(cfg)["nrqfl"]:
-        state = encode(rec.mean_angle)
-        diff = state.matrix - apply_channel(state, channel).matrix
-        oracle = 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
-        worst_round = max(worst_round, abs(rec.epsilon - oracle))
-    ok = worst_analytic < 1e-12 and worst_round < 1e-9
-    report(4, ok, f"dephasing analytic {worst_analytic:.2e}, round-report vs oracle {worst_round:.2e}")
+    reported = [(rec.mean_angle, cfg.noise, rec.epsilon) for rec in flsim.run_experiment(cfg)["nrqfl"]]
+    result = validate.check_theorem1_noise_bound(seed=4, dephasing=(0.01, 0.05, 0.1, 0.3), reported=reported)
+    report_checks(4, [result], len(reported) == 5, f"{len(reported)} reported rounds")
 
 
 def test_criterion_5_theorem2_bound_soundness():
@@ -98,34 +79,7 @@ def test_criterion_6_theorem3_commutation():
 
 
 def test_criterion_7_mitigation_efficacy():
-    noise = NoiseModel(p_depol=0.05)
-    rng = np.random.default_rng(7)
-    # exact-expectation pipeline: mitigated error < 1e-6, raw error > 0
-    worst_mitigated, min_raw = 0.0, math.inf
-    for mean in np.linspace(0.2, 1.2, 20):
-        n = int(rng.integers(2, 10))
-        angles = np.clip(mean + rng.uniform(-0.05, 0.05, size=n), 0.0, HALF_PI)
-        true_mean = float(np.mean(angles))
-        est = qagg.run_plan(fused_gates(angles), noise, 1, None, exact=True)
-        z = mitigation_transfer("channel_inversion", noise, n).invert(est.z_raw)
-        worst_mitigated = max(worst_mitigated, abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean))
-        min_raw = min(min_raw, abs(est.value - true_mean))
-    # sampled pipeline at 1e5 shots: mitigated error < 0.02 rad in >= 95/100 seeds
-    hits = 0
-    angles = np.array([0.45, 0.6, 0.75, 0.9, 1.05])
-    true_mean = float(np.mean(angles))
-    state = qagg.simulate_plan(fused_gates(angles), noise)
-    from nrqfl.qcore import prob_one
-
-    p1 = prob_one(state)
-    for seed in range(100):
-        ones = np.random.default_rng(seed).binomial(10**5, p1)
-        z = mitigation_transfer("channel_inversion", noise, len(angles)).invert(1 - 2 * ones / 10**5)
-        if abs(math.asin(math.sqrt((1 - z) / 2)) - true_mean) < 0.02:
-            hits += 1
-    ok = worst_mitigated < 1e-6 and min_raw > 0 and hits >= 95
-    report(7, ok, f"exact mitigated {worst_mitigated:.2e}, min raw bias {min_raw:.2e}, "
-                  f"shot-mitigated hits {hits}/100")
+    report_checks(7, [validate.check_mitigation_efficacy(seed=7, sets=20, runs=100)])
 
 
 @pytest.fixture(scope="module")
@@ -161,20 +115,7 @@ def test_criterion_8_desk_scale_table(desk_scale_comparison):
 
 
 def test_criterion_9_selection_fairness():
-    threshold = stats.chi2.ppf(0.99, df=9)  # 10 subsets of 3-of-5
-    from itertools import combinations
-
-    subsets = {c: i for i, c in enumerate(combinations(range(5), 3))}
-    passes = 0
-    for seed in range(100):
-        source = qselect.EntropySource(DEFAULT_NOISE, seed=[seed, 5])
-        counts = np.zeros(10)
-        rounds = 10**4
-        for t in range(rounds):
-            counts[subsets[qselect.select_clients(5, 3, source, t).selected]] += 1
-        expected = rounds / 10
-        chi = float(np.sum((counts - expected) ** 2 / expected))
-        passes += chi < threshold
+    result = validate.check_selection_fairness(seeds=100, rounds=10**4, stream=5, quorum=0.95)
     # negative control: a client that is never selected must be flagged
     rng = np.random.default_rng(8)
     history = [
@@ -182,9 +123,7 @@ def test_criterion_9_selection_fairness():
         for t in range(10**4)
     ]
     neg_chi, _ = qselect.fairness_report(history, 5)
-    neg_detected = neg_chi > stats.chi2.ppf(0.999, df=4)
-    ok = passes >= 95 and neg_detected
-    report(9, ok, f"{passes}/100 seeds below 99th percentile; starved-client chi2 {neg_chi:.0f}")
+    report_checks(9, [result], neg_chi > stats.chi2.ppf(0.999, df=4), f"starved-client chi2 {neg_chi:.0f}")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -8,6 +8,8 @@ from nrqfl.cli import SUMMARY_TABLE
 from nrqfl.config import MITIGATIONS, STRATEGIES
 
 SRC = Path(nrqfl.__file__).parent
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+VALIDATE_TWINS = {1, 2, 3, 4, 5, 6, 7, 9}  # criteria `nrqfl validate` also checks; 8 and 10 run whole experiments
 SUMMARY_KEYS = {key for key, *_ in SUMMARY_TABLE}
 CLOCK_MODULES = {"time", "datetime"}
 SEEDED_CALLS = {"default_rng", "SeedSequence"}  # numpy seeds these from the operating system when given no seed
@@ -64,6 +66,29 @@ def clock_reads(source: str) -> list:
             if name in SEEDED_CALLS and all(isinstance(v, ast.Constant) and v.value is None for v in seeds):
                 hits.append((node.lineno, name))
     return sorted(hits)
+
+
+def criteria_without_a_check(source: str, criteria) -> list:
+    """The numbers among `criteria` with no test_criterion_<n>_* function in `source` that calls a `validate.check_*`."""
+    checked = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_"):
+            calls = (c.func for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute))
+            if any(f.attr.startswith("check_") and getattr(f.value, "id", None) == "validate" for f in calls):
+                checked.add(int(node.name.split("_")[2]))
+    return sorted(set(criteria) - checked)
+
+
+def test_every_criterion_with_a_validate_twin_calls_its_check():
+    # one implementation per invariant: a criterion sizes and seeds `nrqfl validate`'s check, it does not copy it
+    assert criteria_without_a_check(ACCEPTANCE.read_text(), VALIDATE_TWINS) == []
+
+
+def test_criteria_without_a_check_are_found():
+    source = ("def test_criterion_1_a():\n    report(validate.check_x(seed=1))\n"
+              "def test_criterion_2_b():\n    validate.helper()\n    check_y()\n    other.check_z()\n"
+              "def test_criterion_3_c():\n    pass\n")
+    assert criteria_without_a_check(source, {1, 2, 3, 4}) == [2, 3, 4]
 
 
 def test_no_module_reads_a_clock():

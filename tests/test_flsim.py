@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrqfl import flsim, qselect
+from nrqfl import flsim, qselect, validate
 from nrqfl.config import ExperimentConfig
-from nrqfl.encode import bounds_from_values, encode, normalize
-from nrqfl.qcore import NoiseModel, apply_channel, compose_channels, identity_channel
+from nrqfl.encode import bounds_from_values, normalize
+from nrqfl.qcore import NoiseModel
 
 FAST = dict(n_clients=5, samples_per_client=120, test_samples=300, rounds=6)
 WEIGHTS_DIVERGED = "training weights diverged; reduce the learning rate (lr) or class_sep"
@@ -433,15 +433,10 @@ class TestRunExperiment:
         noise = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02)
         updates = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 6))
         columns = [bounds_from_values(updates[:, j]) for j in range(6)]
-        channel = identity_channel()
-        for ch in noise.gate_channels():
-            channel = compose_channels(channel, ch)
         mean_angle = float(np.mean([normalize(float(v), b) for v, b in zip(updates.mean(axis=0), columns)]))
-        rho = encode(mean_angle)
-        oracle = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - apply_channel(rho, channel).matrix)))
         eps, angle = flsim._round_epsilon(noise, updates, bounds_from_values(updates))
         assert angle == mean_angle
-        assert abs(eps - oracle) <= 1e-15
+        assert abs(eps - validate.trace_distance_oracle(mean_angle, noise)) <= 1e-15
 
     def test_round_with_overflowing_spread_diverges(self):
         # weights near 1e300 stay finite, but the round's gradient variance overflows

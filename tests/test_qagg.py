@@ -6,15 +6,7 @@ import pytest
 from nrqfl import config, qagg
 from nrqfl.config import depol_attenuation, fused_gates, mitigation_transfer
 from nrqfl.encode import HALF_PI, WeightBounds, denormalize, normalize
-from nrqfl.qcore import (
-    NoiseModel,
-    Z_OBSERVABLE,
-    dephasing_channel,
-    depolarizing_channel,
-    identity_channel,
-    make_pure_state,
-    random_density_matrix,
-)
+from nrqfl.qcore import NoiseModel
 
 NOISELESS = NoiseModel()
 DEPOL = NoiseModel(p_depol=0.05)
@@ -386,28 +378,8 @@ class TestEmpiricalVariance:
             qagg.empirical_variance(fused_gates([0.5]), DEPOL, 100, 1, np.random.default_rng(0))
 
 
-class TestCommutationCheck:
-    def test_dephasing_z_commutes(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            rho = random_density_matrix(rng)
-            lhs, rhs, holds = qagg.commutation_check(dephasing_channel(0.3), Z_OBSERVABLE, rho)
-            assert holds and abs(lhs - rhs) < 1e-10
-
-    def test_depolarizing_z_violation(self):
-        lhs, rhs, holds = qagg.commutation_check(depolarizing_channel(0.2), Z_OBSERVABLE, make_pure_state([1, 0]))
-        assert not holds
-        assert lhs == pytest.approx(1.0)
-        assert rhs == pytest.approx(1 - 4 * 0.2 / 3, abs=1e-12)
-
-    def test_identity_always_holds(self):
-        rho = random_density_matrix(np.random.default_rng(13))
-        _, _, holds = qagg.commutation_check(identity_channel(), Z_OBSERVABLE, rho)
-        assert holds
-
-
 class TestNoiseDeviation:
-    def test_identity_channel(self):
+    def test_noiseless_is_zero(self):
         for angle in np.random.default_rng(14).uniform(0.0, HALF_PI, size=5):
             assert qagg.noise_deviation(angle, NOISELESS) == pytest.approx(0.0, abs=1e-12)
 

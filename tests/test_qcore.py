@@ -19,11 +19,9 @@ from nrqfl.qcore import (
     apply_unitary,
     circuit_bloch,
     circuit_p1,
-    compose_channels,
     dephasing_channel,
     depolarizing_channel,
     expectation,
-    identity_channel,
     make_pure_state,
     prob_one,
     random_density_matrix,
@@ -159,11 +157,6 @@ class TestChannels:
 
 
 class TestApplyChannel:
-    def test_identity_channel(self):
-        rho = random_density_matrix(np.random.default_rng(1))
-        out = apply_channel(rho, identity_channel())
-        assert np.allclose(out.matrix, rho.matrix)
-
     def test_double_depolarizing_attenuation(self):
         # sequential oracle application: <Z> -> (1 - 4p/3)^2
         p = 0.12
@@ -178,13 +171,6 @@ class TestApplyChannel:
         rho = random_density_matrix(np.random.default_rng(seed))
         out = apply_channel(rho, depolarizing_channel(p))
         assert abs(np.trace(out.matrix).real - 1) < 1e-10
-
-    def test_compose_channels(self):
-        rho = make_pure_state([1, 0])
-        a, b = depolarizing_channel(0.1), depolarizing_channel(0.2)
-        seq = apply_channel(apply_channel(rho, a), b)
-        comp = apply_channel(rho, compose_channels(a, b))
-        assert np.allclose(seq.matrix, comp.matrix, atol=1e-12)
 
 
 class TestExpectation:

@@ -5,7 +5,6 @@ from scipy import stats
 from nrqfl.qcore import NoiseModel
 from nrqfl.qselect import (
     EntropySource,
-    FixedBits,
     SelectionVector,
     fairness_report,
     quantum_random_bits,
@@ -14,6 +13,23 @@ from nrqfl.qselect import (
 )
 
 NOISELESS = NoiseModel()
+
+
+class FixedBits:
+    """Replayable bit source for deterministic tests."""
+
+    def __init__(self, bits):
+        self._bits = np.asarray(bits, dtype=np.uint8)
+        self._pos = 0
+        self.bits_consumed = 0
+
+    def take(self, k: int) -> np.ndarray:
+        if self._pos + k > len(self._bits):
+            raise ValueError("fixed bit source exhausted")
+        out = self._bits[self._pos : self._pos + k]
+        self._pos += k
+        self.bits_consumed += k
+        return out
 
 
 class TestQuantumRandomBits:
@@ -93,16 +109,6 @@ class TestFairnessReport:
         chi, counts = fairness_report(history, 5)
         assert counts[4] == 0
         assert chi > stats.chi2.ppf(0.999, df=4)
-
-    def test_uniform_runs_pass(self):
-        threshold = stats.chi2.ppf(0.99, df=4)
-        passed = 0
-        for seed in range(20):
-            source = EntropySource(NoiseModel(p_depol=0.05, gamma=0.03), seed=seed)
-            history = [select_clients(5, 3, source, t) for t in range(2000)]
-            chi, _ = fairness_report(history, 5)
-            passed += chi < threshold
-        assert passed >= 18
 
     def test_rejects_empty_history(self):
         with pytest.raises(ValueError):
