@@ -101,18 +101,3 @@ def select_clients(n: int, m: int, bits, round_index: int = 0) -> SelectionVecto
         if idx < n and idx not in chosen:
             chosen.add(idx)
     return SelectionVector(round_index, tuple(chosen), bits.bits_consumed - start)
-
-
-def fairness_report(history, n: int):
-    """Per-client selection counts and Pearson chi-square against uniform."""
-    if not history:
-        raise ValueError("empty selection history")
-    counts = np.zeros(n, dtype=int)
-    for sv in history:
-        for c in sv.selected:
-            counts[c] += 1
-    t = len(history)
-    m = len(history[0].selected)
-    expected = m * t / n
-    chi_square = float(np.sum((counts - expected) ** 2 / expected))
-    return chi_square, counts

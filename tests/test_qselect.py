@@ -6,7 +6,6 @@ from nrqfl.qcore import NoiseModel
 from nrqfl.qselect import (
     EntropySource,
     SelectionVector,
-    fairness_report,
     quantum_random_bits,
     select_clients,
     von_neumann_extract,
@@ -30,6 +29,21 @@ class FixedBits:
         self._pos += k
         self.bits_consumed += k
         return out
+
+
+def fairness_report(history, n: int):
+    """Per-client selection counts and Pearson chi-square against uniform."""
+    if not history:
+        raise ValueError("empty selection history")
+    counts = np.zeros(n, dtype=int)
+    for sv in history:
+        for c in sv.selected:
+            counts[c] += 1
+    t = len(history)
+    m = len(history[0].selected)
+    expected = m * t / n
+    chi_square = float(np.sum((counts - expected) ** 2 / expected))
+    return chi_square, counts
 
 
 class TestQuantumRandomBits:
