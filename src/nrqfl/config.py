@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encode import angle_to_z
-from .qcore import NoiseModel, circuit_p1
+from .qcore import NoiseModel, circuit_p1, is_real
 from .qselect import EntropySource
 
 
@@ -28,6 +27,10 @@ MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
+# each integer setting's range (lo, hi), hi None when unbounded; `check_int` is its one check
+INT_RANGES = dict(seed=(0, None), n_clients=(2, None), samples_per_client=(1, None), test_samples=(1, None),
+                  classes=(2, None), feature_dim=(2, 8), rounds=(0, None), local_epochs=(1, None),
+                  shots=(1, MAX_SHOTS), repeats=(1, None), n_servers=(1, None))
 
 
 class Strategy(NamedTuple):
@@ -88,22 +91,19 @@ def depol_attenuation(noise: NoiseModel, depth: int) -> float:
     return attenuation
 
 
-def fit_calibration(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> tuple:
+def fit_calibration(noise: NoiseModel, depth: int) -> tuple:
     """Least-squares fit (lam_hat, b_hat) of noisy <Z> = lam_hat * ideal <Z> + b_hat at one circuit depth.
 
-    Each probe angle a runs the aggregation circuit of `depth` clients all at
-    a, whose ideal <Z> is cos(2a); all probes run in one `circuit_p1` batch.
+    Each DEFAULT_PROBES angle a runs the aggregation circuit of `depth` clients
+    all at a, whose ideal <Z> is cos(2a); all probes run in one `circuit_p1` batch.
     The fit absorbs depolarizing attenuation, amplitude-damping offset and
     readout bias in one linear map. A slope below INVERSION_FLOOR cannot be
     inverted, so it raises; `mitigation_transfer` and `qagg.calibrate` call this.
     """
     if not 1 <= depth <= MAX_GROUP:
         raise ValueError(f"calibration depth must be in 1..{MAX_GROUP}, got {depth}")
-    probes = [float(a) for a in probe_angles]
-    if len(set(probes)) < 2:
-        raise ValueError("need at least two distinct probe angles")
-    ideal = [angle_to_z(a) for a in probes]
-    gates = fused_gates(np.repeat(np.array(probes)[:, None], depth, axis=1))
+    ideal = [angle_to_z(a) for a in DEFAULT_PROBES]
+    gates = fused_gates(np.repeat(np.array(DEFAULT_PROBES)[:, None], depth, axis=1))
     lam_hat, b_hat = (float(v) for v in np.polyfit(ideal, 1.0 - 2.0 * circuit_p1(gates, noise), 1))
     if lam_hat < INVERSION_FLOOR:
         raise ValueError(f"calibration fits a slope of {lam_hat:.3g} < {INVERSION_FLOOR} to depth-{depth} "
@@ -121,6 +121,44 @@ class TransferFunction:
     def invert(self, noisy_z):
         """Estimated ideal <Z> of noisy values (a float or an array), clamped to [-1, 1]."""
         return np.clip((noisy_z - self.b_hat) / self.lam_hat, -1.0, 1.0)
+
+
+def check_int(name: str, v) -> None:
+    """A ConfigError unless `v` is an int, not a bool, in INT_RANGES[name]."""
+    lo, hi = INT_RANGES[name]
+    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+        raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{name} must be an integer in {lo}..{hi}, got {v!r}")
+
+
+def check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew) -> None:
+    """The one check of the synthetic workload `flsim.make_partition` builds; a ConfigError names the bad key."""
+    counts = dict(n_clients=n_clients, classes=classes, feature_dim=feature_dim,
+                  samples_per_client=samples_per_client, test_samples=test_samples)
+    for name, v in counts.items():
+        check_int(name, v)
+    if not is_real(skew) or not 0.0 <= skew <= 1.0:
+        raise ConfigError(f"skew must be a number in [0, 1], got {skew!r}")
+
+
+@dataclass(frozen=True)
+class AggregationConfig:
+    """Knobs for one quantum aggregation call; a bad value raises the ConfigError a config file gets for its key."""
+
+    shots: int = 4096
+    repeats: int = 1
+    mitigation: str = "none"
+    exact_expectation: bool = False
+
+    def __post_init__(self):
+        check_int("shots", self.shots)
+        check_int("repeats", self.repeats)
+        if self.mitigation not in MITIGATIONS:
+            raise ConfigError(f"mitigation must be one of {', '.join(MITIGATIONS)} (measurement averaging is set "
+                              f"by repeats alone), got {self.mitigation!r}")
+        if not isinstance(self.exact_expectation, bool):
+            raise ConfigError(f"exact_expectation must be true or false, got {self.exact_expectation!r}")
 
 
 @lru_cache(maxsize=64)
@@ -141,22 +179,6 @@ def mitigation_transfer(mitigation: str, noise: NoiseModel, depth: int) -> Trans
     except ValueError as exc:
         named = ", ".join(f"noise.{k} = {getattr(noise, k)}" for k in _NOISE_KEYS if getattr(noise, k))
         raise ConfigError(f"under {named}, nrqfl {exc}") from exc
-
-
-def _is_real(v) -> bool:
-    """A finite real number that is not a bool; ints too large for a float fail too."""
-    if not isinstance(v, numbers.Real) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _check_noise(values: dict) -> None:
-    for name, v in values.items():
-        if not _is_real(v) or not 0.0 <= v <= 1.0:
-            raise ConfigError(f"noise.{name} must be a probability in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -184,22 +206,14 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        # the workload needs 2+ clients and classes and 2..8 features (flsim.make_partition)
-        minimums = dict(seed=0, n_clients=2, samples_per_client=1, test_samples=1, classes=2, feature_dim=2,
-                        rounds=0, local_epochs=1, shots=1, repeats=1, n_servers=1)
-        for name, lo in minimums.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < lo:
-                raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if self.shots > MAX_SHOTS:
-            raise ConfigError(f"shots must be an integer in 1..{MAX_SHOTS}, got {self.shots!r}")
-        if self.feature_dim > 8:
-            raise ConfigError(f"feature_dim must be an integer in 2..8, got {self.feature_dim!r}")
-        if not _is_real(self.skew) or not 0.0 <= self.skew <= 1.0:
-            raise ConfigError(f"skew must be a number in [0, 1], got {self.skew!r}")
+        for name in ("seed", "rounds", "local_epochs", "n_servers"):
+            check_int(name, getattr(self, name))
+        check_workload(self.n_clients, self.classes, self.feature_dim, self.samples_per_client, self.test_samples,
+                       self.skew)
+        AggregationConfig(self.shots, self.repeats, self.mitigation, self.exact_expectation)
         for name in ("lr", "class_sep", "fixed_weight_bound"):
             v = getattr(self, name)
-            if not _is_real(v) or v <= 0:
+            if not is_real(v) or v <= 0:
                 raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
         if not math.isfinite(2.0 * self.fixed_weight_bound):  # qfl encodes over [-b, b]
             raise ConfigError(f"fixed_weight_bound b must keep the width 2b finite, got {self.fixed_weight_bound!r}")
@@ -208,14 +222,8 @@ class ExperimentConfig:
             raise ConfigError(f"strategies must be a non-empty list of distinct names from {'/'.join(STRATEGIES)}, "
                               f"got {strategies}")
         object.__setattr__(self, "strategies", strategies)
-        if self.mitigation not in MITIGATIONS:
-            raise ConfigError(f"mitigation must be one of {', '.join(MITIGATIONS)} (measurement averaging is set "
-                              f"by repeats alone), got {self.mitigation!r}")
-        if not isinstance(self.exact_expectation, bool):
-            raise ConfigError(f"exact_expectation must be true or false, got {self.exact_expectation!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        _check_noise({name: getattr(self.noise, name) for name in _NOISE_KEYS})
         m = self.selection_m
         if m is not None:
             if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.n_clients:
@@ -242,24 +250,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key}")
-        if key == "noise":
-            if not isinstance(value, dict):
-                raise ConfigError("noise must be an object")
-            for nk in value:
-                if nk not in _NOISE_KEYS:
-                    raise ConfigError(f"unknown config key: noise.{nk}")
-            _check_noise(value)
-            kwargs["noise"] = NoiseModel(**value)
-        elif key == "strategies":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError("strategies must be a list")
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    try:
+    try:  # NoiseModel raises a plain ValueError, with the message a ConfigError carries
+        for key, value in data.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key: {key}")
+            if key == "noise":
+                if not isinstance(value, dict):
+                    raise ConfigError("noise must be an object")
+                for nk in value:
+                    if nk not in _NOISE_KEYS:
+                        raise ConfigError(f"unknown config key: noise.{nk}")
+                kwargs["noise"] = NoiseModel(**value)
+            elif key == "strategies":
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError("strategies must be a list")
+                kwargs[key] = tuple(value)
+            else:
+                kwargs[key] = value
         return ExperimentConfig(**kwargs)
     except ConfigError:
         raise

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qagg, qselect
-from .config import STRATEGIES, STRATEGY_TABLE, ExperimentConfig
+from .config import STRATEGIES, STRATEGY_TABLE, AggregationConfig, ExperimentConfig, check_workload
 from .encode import WeightBounds, bounds_from_values, normalize
 from .qcore import NoiseModel
 
@@ -87,14 +87,7 @@ def make_partition(
     alpha = (1-skew)*10 + skew*0.1, so skew=0 is near-IID and skew=1 gives
     strongly concentrated per-client label distributions.
     """
-    if n_clients < 2 or classes < 2:
-        raise ValueError("need at least 2 clients and 2 classes")
-    if not 2 <= feature_dim <= 8:
-        raise ValueError("feature_dim must be in 2..8")
-    if samples_per_client < 1 or test_samples < 1:
-        raise ValueError("sample counts must be >= 1")
-    if not 0.0 <= skew <= 1.0:
-        raise ValueError("skew must be in [0, 1]")
+    check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, feature_dim, class_sep)
     alpha = (1.0 - skew) * 10.0 + skew * 0.1
@@ -317,10 +310,10 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds: WeightBounds)
     return qagg.noise_deviation(mean_angle, noise), mean_angle
 
 
-def aggregation_config(cfg: ExperimentConfig, strategy: str) -> qagg.AggregationConfig:
+def aggregation_config(cfg: ExperimentConfig, strategy: str) -> AggregationConfig:
     """The aggregation knobs a quantum strategy's rounds run with."""
     mitigated = STRATEGY_TABLE[strategy].mitigated
-    return qagg.AggregationConfig(
+    return AggregationConfig(
         shots=cfg.shots,
         repeats=cfg.repeats if mitigated else 1,
         mitigation=cfg.mitigation if mitigated else "none",

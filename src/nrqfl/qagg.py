@@ -34,32 +34,14 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .config import (DEFAULT_PROBES, MITIGATIONS, TransferFunction, fit_calibration, fused_gates,
-                     group_sizes, mitigation_transfer)
+from .config import (AggregationConfig, TransferFunction, check_int, fit_calibration, fused_gates, group_sizes,
+                     mitigation_transfer)
 from .encode import WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import DensityMatrix, NoiseModel, circuit_bloch, circuit_p1, sample_measurement
 
 SIGMA_SHOT = 0.5  # per-shot standard deviation of the decoded angle arcsin(sqrt(p)), to first order at any p
 _WORD = 0xFFFFFFFF
 _OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]  # pool words each word mixes into
-
-
-@dataclass(frozen=True)
-class AggregationConfig:
-    """Knobs for one quantum aggregation call."""
-
-    shots: int = 4096
-    repeats: int = 1
-    mitigation: str = "none"
-    exact_expectation: bool = False
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.mitigation not in MITIGATIONS:
-            raise ValueError(f"mitigation must be one of {MITIGATIONS}, got {self.mitigation!r}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +88,9 @@ def run_plan(
     return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1)
 
 
-def calibrate(noise: NoiseModel, depth: int, probe_angles=DEFAULT_PROBES) -> TransferFunction:
+def calibrate(noise: NoiseModel, depth: int) -> TransferFunction:
     """The transfer `fit_calibration` fits to depth-`depth` circuits; rounds take `mitigation_transfer`'s cached fit."""
-    return TransferFunction(*fit_calibration(noise, depth, probe_angles))
+    return TransferFunction(*fit_calibration(noise, depth))
 
 
 @lru_cache(maxsize=None)
@@ -253,8 +235,7 @@ def replicated_aggregate(
     seed_key=(0,),
 ) -> AggregateResult:
     """Run `aggregate` on n_servers independent streams; coordinate-wise median."""
-    if n_servers < 1:
-        raise ValueError("n_servers must be >= 1")
+    check_int("n_servers", n_servers)
     if n_servers == 1:
         return aggregate(client_vectors, bounds, cfg, noise, seed_key)
     results = [aggregate(client_vectors, bounds, cfg, noise, tuple(seed_key) + (s,)) for s in range(n_servers)]

@@ -18,6 +18,7 @@ RNG stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,9 +85,22 @@ class Observable:
         object.__setattr__(self, "matrix", m)
 
 
+def is_real(v) -> bool:
+    """A finite real number that is not a bool; ints too large for a float fail too."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate channel parameters plus readout flip probability."""
+    """Per-gate channel parameters plus readout flip probability.
+
+    The one check of a noise probability; its message names the config key, noise.<name>.
+    """
 
     p_depol: float = 0.0
     p_deph: float = 0.0
@@ -96,8 +110,8 @@ class NoiseModel:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
+            if not is_real(v) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"noise.{f.name} must be a probability in [0, 1], got {v!r}")
 
     @property
     def depol_factor(self) -> float:

@@ -146,8 +146,10 @@ class TestParseConfig:
             assert isinstance(config_from_dict(json.loads(block)), ExperimentConfig)
 
     def test_bool_noise_rejected_on_direct_construction(self):
-        with pytest.raises(ConfigError, match="noise.p_depol"):
-            ExperimentConfig(noise=NoiseModel(p_depol=True))
+        with pytest.raises(ValueError, match=r"^noise\.p_depol must be a probability in \[0, 1\], got True$"):
+            NoiseModel(p_depol=True)
+        with pytest.raises(ConfigError, match=r"^noise\.p_depol"):
+            config_from_dict({"noise": {"p_depol": True}})
 
     def test_non_positive_calibration_slope_only_rejected_where_calibrated(self):
         noise = {"readout_flip": 0.6}  # a flip above 1/2 turns the fitted slope negative
@@ -265,6 +267,65 @@ def test_any_json_object_is_a_config_or_a_config_error(data):
         return
     assert isinstance(cfg, ExperimentConfig)
     assert config_from_dict(cfg.to_dict()) == cfg  # summary.json's config echo parses back to the run's config
+
+
+_AGGREGATION_KEYS = tuple(f.name for f in fields(config.AggregationConfig))
+_WORKLOAD_KEYS = ("n_clients", "classes", "feature_dim", "samples_per_client", "test_samples", "skew")
+
+
+def _held(key, value):
+    """Build what holds `key` as a library caller would, with `value` and every other setting at its default."""
+    if key in _NOISE_KEYS:
+        return NoiseModel(**{key: value})
+    if key in _AGGREGATION_KEYS:
+        return config.AggregationConfig(**{key: value})
+    if key == "n_servers":
+        return qagg.replicated_aggregate([[1.0]], WeightBounds(0, 2), config.AggregationConfig(), NoiseModel(), value)
+    workload = {k: getattr(_DEFAULTS, k) for k in _WORKLOAD_KEYS}
+    return flsim.make_partition(**{**workload, key: value}, seed=0)
+
+
+def _parsed_message(key, value):
+    """The ConfigError message of a config file that sets `key` to `value`, or None if it parses.
+
+    Only fedavg runs, so no mitigation or selection check looks at the value.
+    """
+    setting = {"noise": {key: value}} if key in _NOISE_KEYS else {key: value}
+    try:
+        config_from_dict({"strategies": ["fedavg"], **setting})
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_depol", True), ("p_depol", "0.1"), ("p_depol", None),
+    ("shots", True), ("shots", 2.5), ("shots", 2**63), ("shots", 0), ("repeats", True), ("repeats", 1.5),
+    ("exact_expectation", "no"), ("mitigation", "bogus"),
+    ("n_clients", 1), ("feature_dim", 9), ("skew", True),
+    ("n_servers", True), ("n_servers", 2.5),
+])
+def test_holding_type_rejects_with_the_config_message(key, value):
+    with pytest.raises(ValueError) as held:
+        _held(key, value)
+    assert str(held.value) == _parsed_message(key, value)
+    assert str(held.value).startswith(f"noise.{key} " if key in _NOISE_KEYS else f"{key} ")
+
+
+@given(st.sampled_from(_NOISE_KEYS + _AGGREGATION_KEYS + _WORKLOAD_KEYS).flatmap(lambda key: st.tuples(
+    st.just(key), _JSON | st.floats(-0.5, 1.5) | st.integers(-2, 10) | st.integers(2**62, 2**64) | _NAMES)))
+@settings(max_examples=300, deadline=None)
+def test_config_rejects_a_value_exactly_when_its_holding_type_does(key_value):
+    key, value = key_value
+    parsed = _parsed_message(key, value)
+    if parsed is None and key in _WORKLOAD_KEYS:
+        assume(not isinstance(value, int) or value <= 64)  # an accepted size is built; keep it small
+    try:
+        _held(key, value)
+    except ValueError as exc:
+        assert str(exc) == parsed
+    else:
+        assert parsed is None
 
 
 def _object_text(pairs) -> str:
