@@ -132,7 +132,7 @@ def check_int(name: str, v) -> None:
         raise ConfigError(f"{name} must be an integer in {lo}..{hi}, got {v!r}")
 
 
-def check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew) -> None:
+def check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew, class_sep) -> None:
     """The one check of the synthetic workload `flsim.make_partition` builds; a ConfigError names the bad key."""
     counts = dict(n_clients=n_clients, classes=classes, feature_dim=feature_dim,
                   samples_per_client=samples_per_client, test_samples=test_samples)
@@ -140,6 +140,8 @@ def check_workload(n_clients, classes, feature_dim, samples_per_client, test_sam
         check_int(name, v)
     if not is_real(skew) or not 0.0 <= skew <= 1.0:
         raise ConfigError(f"skew must be a number in [0, 1], got {skew!r}")
+    if not is_real(class_sep) or class_sep <= 0:
+        raise ConfigError(f"class_sep must be a positive finite number, got {class_sep!r}")
 
 
 @dataclass(frozen=True)
@@ -209,9 +211,9 @@ class ExperimentConfig:
         for name in ("seed", "rounds", "local_epochs", "n_servers"):
             check_int(name, getattr(self, name))
         check_workload(self.n_clients, self.classes, self.feature_dim, self.samples_per_client, self.test_samples,
-                       self.skew)
+                       self.skew, self.class_sep)
         AggregationConfig(self.shots, self.repeats, self.mitigation, self.exact_expectation)
-        for name in ("lr", "class_sep", "fixed_weight_bound"):
+        for name in ("lr", "fixed_weight_bound"):
             v = getattr(self, name)
             if not is_real(v) or v <= 0:
                 raise ConfigError(f"{name} must be a positive finite number, got {v!r}")

@@ -1,7 +1,8 @@
 """Angle codec between real-valued model parameters and single-qubit states.
 
-A weight w is affinely mapped into [0, pi/2] and prepared as
-cos(a)|0> + sin(a)|1>; decoding inverts via P(1) = sin^2(a). The encoding is
+A weight w is affinely mapped into an angle a in [0, pi/2], which the circuit
+prepares as cos(a)|0> + sin(a)|1> (`config.fused_gates`); `z_to_angle` is the
+one decode, inverting <Z> = cos(2a), i.e. P(1) = sin^2(a). The encoding is
 bijective only on [0, pi/2], hence the clamp in `normalize`.
 """
 
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .qcore import DensityMatrix, apply_unitary, make_pure_state, prob_one, ry
 
 HALF_PI = math.pi / 2
 
@@ -61,19 +60,6 @@ def denormalize(angles, bounds: WeightBounds) -> np.ndarray:
     """Exact inverse of `normalize` on [lo, hi], elementwise."""
     _check_angle(angles)
     return bounds.lo + (bounds.hi - bounds.lo) * np.asarray(angles, dtype=float) / HALF_PI
-
-
-def encode(angle: float) -> DensityMatrix:
-    """Pure state Ry(2a)|0>, i.e. cos(a)|0> + sin(a)|1>."""
-    _check_angle(angle)
-    zero = make_pure_state([1.0, 0.0])
-    return apply_unitary(zero, ry(2.0 * angle))
-
-
-def decode_exact(state: DensityMatrix) -> float:
-    """arcsin(sqrt(P(1))) of a state; inverse of `encode` on clean states."""
-    p1 = prob_one(state)
-    return math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
 
 
 def z_to_angle(z):

@@ -87,7 +87,7 @@ def make_partition(
     alpha = (1-skew)*10 + skew*0.1, so skew=0 is near-IID and skew=1 gives
     strongly concentrated per-client label distributions.
     """
-    check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew)
+    check_workload(n_clients, classes, feature_dim, samples_per_client, test_samples, skew, class_sep)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, feature_dim, class_sep)
     alpha = (1.0 - skew) * 10.0 + skew * 0.1

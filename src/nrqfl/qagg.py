@@ -84,8 +84,8 @@ def run_plan(
             raise ValueError("sampled execution needs an RNG stream")
         zeros, ones = sample_measurement(simulate_plan(gates, noise), 0, shots, rng, noise.readout_flip)
         p1 = ones / shots
-    angle = math.asin(math.sqrt(min(max(p1, 0.0), 1.0)))
-    return AggregateEstimate(value=angle, z_raw=1.0 - 2.0 * p1)
+    z = 1.0 - 2.0 * p1
+    return AggregateEstimate(value=float(z_to_angle(z)), z_raw=z)
 
 
 def calibrate(noise: NoiseModel, depth: int) -> TransferFunction:
@@ -264,8 +264,7 @@ def empirical_variance(
     if trials < 2:
         raise ValueError("need at least two trials")
     ones = rng.binomial(shots, float(circuit_p1(gates, noise)), size=trials)
-    angles = np.arcsin(np.sqrt(ones / shots))
-    return float(np.var(angles, ddof=1))
+    return float(np.var(z_to_angle(1.0 - 2.0 * (ones / shots)), ddof=1))
 
 
 def noise_deviation(angle: float, noise: NoiseModel) -> float:

@@ -55,6 +55,11 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+def completeness_residual(operators) -> float:
+    """Frobenius norm of sum_k E_k^dag E_k - I: 0 for the Kraus operators of a trace-preserving map."""
+    return float(np.linalg.norm(sum(e.conj().T @ e for e in operators) - np.eye(2)))
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """One-qubit CPTP map given by 2x2 Kraus operators {E_k} with sum_k E_k^dag E_k = I."""
@@ -66,8 +71,7 @@ class KrausChannel:
         ops = tuple(_as_matrix(e) for e in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        total = sum(e.conj().T @ e for e in ops)
-        if np.linalg.norm(total - np.eye(2)) > COMPLETENESS_TOL:
+        if completeness_residual(ops) > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated for '{self.label}'")
         object.__setattr__(self, "operators", ops)
 
@@ -95,12 +99,15 @@ def is_real(v) -> bool:
         return False
 
 
+def check_probability(key: str, v) -> None:
+    """The one check of a noise probability; its message names the config key, noise.<key>."""
+    if not is_real(v) or not 0.0 <= v <= 1.0:
+        raise ValueError(f"noise.{key} must be a probability in [0, 1], got {v!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate channel parameters plus readout flip probability.
-
-    The one check of a noise probability; its message names the config key, noise.<name>.
-    """
+    """Per-gate channel parameters plus readout flip probability, each held to `check_probability`."""
 
     p_depol: float = 0.0
     p_deph: float = 0.0
@@ -109,9 +116,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not is_real(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"noise.{f.name} must be a probability in [0, 1], got {v!r}")
+            check_probability(f.name, getattr(self, f.name))
 
     @property
     def depol_factor(self) -> float:
@@ -160,8 +165,7 @@ def ry(theta: float) -> np.ndarray:
 
 def depolarizing_channel(p: float) -> KrausChannel:
     """E(rho) = (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
+    check_probability("p_depol", p)
     if p == 0.0:
         return KrausChannel((I2,), label="depolarizing(0)")
     ops = (
@@ -175,8 +179,7 @@ def depolarizing_channel(p: float) -> KrausChannel:
 
 def dephasing_channel(p: float) -> KrausChannel:
     """E(rho) = (1-p) rho + p Z rho Z; off-diagonals scale by (1-2p)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"dephasing probability must be in [0, 1], got {p}")
+    check_probability("p_deph", p)
     if p == 0.0:
         return KrausChannel((I2,), label="dephasing(0)")
     return KrausChannel((math.sqrt(1 - p) * I2, math.sqrt(p) * PAULI_Z), label=f"dephasing({p})")
@@ -184,8 +187,7 @@ def dephasing_channel(p: float) -> KrausChannel:
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
     """Energy relaxation |1> -> |0> with probability gamma (standard Kraus pair)."""
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"damping probability must be in [0, 1], got {gamma}")
+    check_probability("gamma", gamma)
     e0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     e1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     return KrausChannel((e0, e1), label=f"amplitude_damping({gamma})")
@@ -255,8 +257,7 @@ def prob_one(state: DensityMatrix) -> float:
 
 def readout_p1(state: DensityMatrix, readout_flip: float) -> float:
     """P(read 1) when each outcome flips with probability readout_flip."""
-    if not (0.0 <= readout_flip <= 1.0):
-        raise ValueError("readout_flip must be in [0, 1]")
+    check_probability("readout_flip", readout_flip)
     return flipped_p1(prob_one(state), readout_flip)
 
 

@@ -3,8 +3,9 @@
 Each check returns a CheckResult; the CLI prints one pass/fail line per check
 and exits non-zero if any fails. The suite covers channel CPTP properties,
 the Bloch engine the simulator runs against the Kraus chain (its oracle), the
-encoding round trip, the three aggregation theorems, mitigation efficacy, and
-selection fairness, at sizes that keep the whole run to a few seconds.
+codec round trip and the shot sampling of `qagg.aggregate` (the code a round
+runs), the three aggregation theorems, mitigation efficacy, and selection
+fairness, at sizes that keep the whole run to a few seconds.
 The acceptance suite calls the same checks at its own seeds and sizes, which
 is why the randomized checks take those as parameters; the trace-distance
 oracle, the mitigation pipeline and the uniformity statistic each exist once,
@@ -21,8 +22,11 @@ import numpy as np
 
 from . import qagg, qselect
 from .config import fused_gates
-from .encode import ANGLE_BOUNDS, HALF_PI, decode_exact, encode
+from .encode import ANGLE_BOUNDS, HALF_PI
 from .qcore import (
+    COMPLETENESS_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     KrausChannel,
     NoiseModel,
@@ -35,14 +39,13 @@ from .qcore import (
     apply_channel,
     apply_unitary,
     circuit_bloch,
+    completeness_residual,
     dephasing_channel,
     depolarizing_channel,
     expectation,
     make_pure_state,
-    prob_one,
     random_density_matrix,
     ry,
-    sample_measurement,
 )
 
 # The 10 ways to select 3 of 5 clients, and the 99th percentile of chi-square
@@ -69,11 +72,8 @@ def _channel_grid():
 
 
 def check_cptp_completeness() -> CheckResult:
-    worst = 0.0
-    for ch in _channel_grid():
-        total = sum(e.conj().T @ e for e in ch.operators)
-        worst = max(worst, float(np.linalg.norm(total - np.eye(2))))
-    return CheckResult("cptp_completeness", worst < 1e-10, f"worst Frobenius residual {worst:.2e}")
+    worst = max(completeness_residual(ch.operators) for ch in _channel_grid())
+    return CheckResult("cptp_completeness", worst < COMPLETENESS_TOL, f"worst Frobenius residual {worst:.2e}")
 
 
 def _channel_outputs(seed: int, states: int, strengths):
@@ -91,13 +91,13 @@ def _channel_outputs(seed: int, states: int, strengths):
 def check_trace_preservation(seed: int = 11, states: int = 100) -> CheckResult:
     worst = max(abs(float(np.trace(out.matrix).real) - 1.0)
                 for out in _channel_outputs(seed, states, (0.05, 0.1, 0.03)))
-    return CheckResult("trace_preservation", worst < 1e-10, f"worst |tr-1| {worst:.2e}")
+    return CheckResult("trace_preservation", worst < TRACE_TOL, f"worst |tr-1| {worst:.2e}")
 
 
 def check_psd_preservation(seed: int = 12, states: int = 200, strengths=(0.3, 0.3, 0.3)) -> CheckResult:
     outputs = _channel_outputs(seed, states, strengths)
     worst = min(0.0, *(float(np.linalg.eigvalsh(out.matrix).min()) for out in outputs))
-    return CheckResult("psd_preservation", worst >= -1e-9, f"min eigenvalue {worst:.2e}")
+    return CheckResult("psd_preservation", worst >= -PSD_TOL, f"min eigenvalue {worst:.2e}")
 
 
 def check_depolarizing_contraction() -> CheckResult:
@@ -135,10 +135,15 @@ def _kraus_chain(state: DensityMatrix, noise: NoiseModel) -> DensityMatrix:
     return state
 
 
+def _encoded_state(angle: float) -> DensityMatrix:
+    """The oracle's own state prep of `angle`: Ry(2a)|0>, i.e. cos(a)|0> + sin(a)|1>."""
+    return apply_unitary(make_pure_state([1.0, 0.0]), ry(2.0 * angle))
+
+
 def trace_distance_oracle(angle: float, noise: NoiseModel) -> float:
     """D(rho, E(rho)) of the encoded state of `angle` and the Kraus chain E of one
     gate-noise pass, as half the sum of the difference's singular values."""
-    rho = encode(angle)
+    rho = _encoded_state(angle)
     diff = rho.matrix - _kraus_chain(rho, noise).matrix
     return 0.5 * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
@@ -164,25 +169,26 @@ def check_bloch_engine_matches_kraus() -> CheckResult:
 
 
 def check_sampling_consistency() -> CheckResult:
+    """One client's 200 drawn angles per shot count S, sampled and decoded by one unmitigated `qagg.aggregate`
+    call; an estimate misses when it is more than 4 sigma = 4 sqrt(`qagg.variance_bound`(S)) from its angle."""
     rng = np.random.default_rng(15)
     failures, total = 0, 0
     for shots in (1000, 10000, 100000):
-        for _ in range(200):
-            angle = rng.uniform(0.1, HALF_PI - 0.1)
-            state = encode(angle)
-            p1 = prob_one(state)
-            _, ones = sample_measurement(state, 0, shots, rng)
-            tol = 4 * math.sqrt(p1 * (1 - p1) / shots)
-            total += 1
-            if abs(ones / shots - p1) > tol:
-                failures += 1
+        angles = rng.uniform(0.1, HALF_PI - 0.1, size=200)
+        cfg = qagg.AggregationConfig(shots=shots)
+        estimates = qagg.aggregate(angles[None, :], ANGLE_BOUNDS, cfg, NoiseModel(), seed_key=(15, shots)).vector
+        failures += int(np.sum(np.abs(estimates - angles) > 4 * math.sqrt(qagg.variance_bound(shots))))
+        total += len(angles)
     rate = failures / total
     return CheckResult("sampling_consistency", rate <= 0.01, f"4-sigma miss rate {rate:.3f}")
 
 
 def check_encode_roundtrip() -> CheckResult:
+    """The round's codec on one noiseless client whose parameters are a grid of angles: normalize, circuit,
+    exact <Z>, `encode.z_to_angle`, denormalize."""
     grid = np.linspace(0.0, HALF_PI, 1000)
-    worst = max(abs(decode_exact(encode(float(a))) - a) for a in grid)
+    cfg = qagg.AggregationConfig(exact_expectation=True)
+    worst = float(np.max(np.abs(qagg.aggregate(grid[None, :], ANGLE_BOUNDS, cfg, NoiseModel()).vector - grid)))
     return CheckResult("encode_roundtrip", worst < 1e-12, f"worst |decode(encode(a)) - a| {worst:.2e}")
 
 
@@ -315,14 +321,14 @@ def check_injected_broken_channel_cptp() -> CheckResult:
     # negative control: run the completeness check on a non-complete Kraus set;
     # it must fail (and the constructor must refuse it), driving exit code 1
     broken = (0.5 * PAULI_X,)
-    residual = float(np.linalg.norm(sum(e.conj().T @ e for e in broken) - np.eye(2)))
+    residual = completeness_residual(broken)
     constructor_rejects = False
     try:
         KrausChannel(broken, label="broken")
     except ValueError:
         constructor_rejects = True
     detail = f"injected Kraus set: completeness residual {residual:.2e}, constructor rejects: {constructor_rejects}"
-    return CheckResult("injected_broken_channel_cptp", residual < 1e-10 and not constructor_rejects, detail)
+    return CheckResult("injected_broken_channel_cptp", residual < COMPLETENESS_TOL and not constructor_rejects, detail)
 
 
 ALL_CHECKS = (

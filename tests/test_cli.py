@@ -270,7 +270,7 @@ def test_any_json_object_is_a_config_or_a_config_error(data):
 
 
 _AGGREGATION_KEYS = tuple(f.name for f in fields(config.AggregationConfig))
-_WORKLOAD_KEYS = ("n_clients", "classes", "feature_dim", "samples_per_client", "test_samples", "skew")
+_WORKLOAD_KEYS = ("n_clients", "classes", "feature_dim", "samples_per_client", "test_samples", "skew", "class_sep")
 
 
 def _held(key, value):
@@ -303,6 +303,7 @@ def _parsed_message(key, value):
     ("shots", True), ("shots", 2.5), ("shots", 2**63), ("shots", 0), ("repeats", True), ("repeats", 1.5),
     ("exact_expectation", "no"), ("mitigation", "bogus"),
     ("n_clients", 1), ("feature_dim", 9), ("skew", True),
+    ("class_sep", float("nan")), ("class_sep", -2.0), ("class_sep", True),
     ("n_servers", True), ("n_servers", 2.5),
 ])
 def test_holding_type_rejects_with_the_config_message(key, value):

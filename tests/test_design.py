@@ -13,6 +13,7 @@ VALIDATE_TWINS = {1, 2, 3, 4, 5, 6, 7, 9}  # criteria `nrqfl validate` also chec
 SUMMARY_KEYS = {key for key, *_ in SUMMARY_TABLE}
 CLOCK_MODULES = {"time", "datetime"}
 SEEDED_CALLS = {"default_rng", "SeedSequence"}  # numpy seeds these from the operating system when given no seed
+DECODE_CALLS = {"arcsin", "asin"}  # the inverse of P(1) = sin^2(a)
 
 
 def strategy_name_literals(source: str) -> list:
@@ -68,6 +69,17 @@ def clock_reads(source: str) -> list:
     return sorted(hits)
 
 
+def decode_calls(source: str) -> list:
+    """(line, name) of every call in `source` of a function named in DECODE_CALLS, bare or as an attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in DECODE_CALLS:
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
 def criteria_without_a_check(source: str, criteria) -> list:
     """The numbers among `criteria` with no test_criterion_<n>_* function in `source` that calls a `validate.check_*`."""
     checked = set()
@@ -103,6 +115,18 @@ def test_clock_reads_are_found():
               "x = SeedSequence([1, 2])\nfrom .time import y\nz = default_rng(None)\n")
     assert clock_reads(source) == [(1, "time"), (2, "time"), (3, "datetime"), (5, "default_rng"),
                                    (7, "SeedSequence"), (10, "default_rng")]
+
+
+def test_only_encode_decodes():
+    # the decode a round runs is `encode.z_to_angle`; an oracle or an estimator decodes through it too
+    found = {path.name: decode_calls(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != "encode.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_decode_calls_are_found():
+    source = ('a = np.arcsin(np.sqrt(p))\nb = math.asin(x)\nfrom math import asin\nc = asin(y)\n'
+              '"""arcsin(sqrt(p)) of a state"""\nd = np.arcsinh(z)\ne = np.sin(a)\n')
+    assert decode_calls(source) == [(1, "arcsin"), (2, "asin"), (4, "asin")]
 
 
 def test_only_config_names_a_strategy():

@@ -9,12 +9,9 @@ from nrqfl.encode import (
     HALF_PI,
     WeightBounds,
     bounds_from_values,
-    decode_exact,
     denormalize,
-    encode,
     normalize,
 )
-from nrqfl.qcore import DensityMatrix, make_pure_state
 
 BOUNDS = WeightBounds(-1.0, 1.0)
 
@@ -55,32 +52,6 @@ class TestDenormalize:
     @given(st.floats(min_value=-1.0, max_value=1.0))
     def test_round_trip(self, w):
         assert denormalize(normalize(w, BOUNDS), BOUNDS) == pytest.approx(w, abs=1e-12)
-
-
-class TestEncodeDecode:
-    def test_zero_angle(self):
-        assert np.allclose(encode(0.0).matrix, [[1, 0], [0, 0]])
-
-    def test_quarter_pi_is_plus(self):
-        rho = encode(math.pi / 4)
-        assert np.allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_sixth_pi_populations(self):
-        rho = encode(math.pi / 6)
-        assert np.allclose(np.diag(rho.matrix).real, [0.75, 0.25], atol=1e-12)
-
-    def test_decode_zero_state(self):
-        assert decode_exact(make_pure_state([1, 0])) == 0.0
-
-    def test_decode_mixed(self):
-        assert decode_exact(DensityMatrix(np.eye(2) / 2)) == pytest.approx(math.pi / 4)
-
-    def test_decode_quarter_population(self):
-        assert decode_exact(encode(math.pi / 6)) == pytest.approx(math.pi / 6, abs=1e-12)
-
-    def test_round_trip_grid(self):
-        for a in np.linspace(0.0, HALF_PI, 1000):
-            assert abs(decode_exact(encode(float(a))) - a) < 1e-12
 
 
 class TestWeightBounds:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +32,16 @@ from nrqfl.qcore import (
 )
 
 SQ2 = 1 / math.sqrt(2)
+BAD_PROBABILITIES = (1.5, True, "0.1", math.nan)  # NoiseModel rejects each; a bool or a string is not a probability
 
 
 def plus_state():
     return make_pure_state([SQ2, SQ2])
+
+
+def probability_message(key, v) -> str:
+    """A regex of NoiseModel's whole message rejecting noise.<key> = v."""
+    return f"^{re.escape(f'noise.{key} must be a probability in [0, 1], got {v!r}')}$"
 
 
 class TestMakePureState:
@@ -141,8 +148,11 @@ class TestChannels:
 
     @pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel, amplitude_damping_channel])
     def test_rejects_bad_probability(self, ctor):
-        with pytest.raises(ValueError):
-            ctor(1.5)
+        # NoiseModel's rule and message, naming the key the constructor's parameter is read from
+        key = {depolarizing_channel: "p_depol", dephasing_channel: "p_deph", amplitude_damping_channel: "gamma"}[ctor]
+        for p in BAD_PROBABILITIES:
+            with pytest.raises(ValueError, match=probability_message(key, p)):
+                ctor(p)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_completeness_holds_everywhere(self, p):
@@ -283,8 +293,9 @@ class TestCircuitEngine:
         assert readout_p1(state, f) == pytest.approx(p1 * (1 - f) + (1 - p1) * f, abs=1e-15)
 
     def test_readout_p1_rejects_bad_flip(self):
-        with pytest.raises(ValueError, match="readout_flip"):
-            readout_p1(plus_state(), 1.5)
+        for flip in BAD_PROBABILITIES:
+            with pytest.raises(ValueError, match=probability_message("readout_flip", flip)):
+                readout_p1(plus_state(), flip)
 
 
 class TestInvariantsAndSerialization:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -33,6 +35,21 @@ def test_theorem2_check_fails_on_an_inflated_variance(monkeypatch):
     assert not result.passed, result.detail
 
 
+def test_sampling_check_fails_on_a_quarter_of_the_shots(monkeypatch):
+    # the check samples through the draws a round makes: a quarter of the shots doubles sigma, so 4 sigma is 2
+    shot_draws = qagg._shot_draws
+    monkeypatch.setattr(qagg, "_shot_draws", lambda key, rows, shots, p: 4 * shot_draws(key, rows, shots // 4, p))
+    result = validate.check_sampling_consistency()
+    assert not result.passed, result.detail
+
+
+def test_round_trip_check_reads_the_decode_a_round_runs(monkeypatch):
+    z_to_angle = qagg.z_to_angle
+    monkeypatch.setattr(qagg, "z_to_angle", lambda z: z_to_angle(z) * (1 - 1e-11))
+    result = validate.check_encode_roundtrip()
+    assert not result.passed, result.detail
+
+
 class TestCommutationCheck:
     def test_dephasing_z_commutes(self):
         rng = np.random.default_rng(12)
@@ -51,3 +68,16 @@ class TestCommutationCheck:
         rho = random_density_matrix(np.random.default_rng(13))
         _, _, holds = validate.commutation_check(depolarizing_channel(0.0), Z_OBSERVABLE, rho)
         assert holds
+
+
+class TestEncodedState:
+    def test_zero_angle(self):
+        assert np.allclose(validate._encoded_state(0.0).matrix, [[1, 0], [0, 0]])
+
+    def test_quarter_pi_is_plus(self):
+        rho = validate._encoded_state(math.pi / 4)
+        assert np.allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
+
+    def test_sixth_pi_populations(self):
+        rho = validate._encoded_state(math.pi / 6)
+        assert np.allclose(np.diag(rho.matrix).real, [0.75, 0.25], atol=1e-12)
