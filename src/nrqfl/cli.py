@@ -15,7 +15,6 @@ import numpy as np
 
 from . import SUITE_VERSION, flsim, qagg
 from .config import STRATEGY_TABLE, ConfigError, ExperimentConfig, config_from_dict, group_depths, parse_config
-from .encode import ANGLE_BOUNDS
 
 
 def _fmt(x) -> str:
@@ -98,22 +97,12 @@ def cmd_validate(inject_broken_channel: bool = False) -> int:
 
 
 def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
-    """Variance of the per-parameter estimate `strategy` runs, at this depth and shot count.
-
-    One `replicated_aggregate` call, as the strategy's rounds make it, over
-    300 parameters that each hold the same depth-`depth` circuit: every
-    parameter draws its own shots, so each is one independent estimate after
-    the repeats, mitigation and server median the strategy applies.
-    """
+    """`qagg.empirical_variance` of the per-parameter estimate `strategy` runs, at this depth and shot count:
+    300 trials of one depth-`depth` circuit, with the repeats, mitigation and server median of the strategy's rounds."""
     if not STRATEGY_TABLE[strategy].quantum:
         return 0.0
-    trials = 300
-    angles = np.repeat(np.linspace(0.3, 0.9, depth)[:, None], trials, axis=1)
-    result = qagg.replicated_aggregate(
-        angles, ANGLE_BOUNDS, flsim.aggregation_config(cfg, strategy),
-        cfg.noise, cfg.n_servers, seed_key=(cfg.seed, 0x5E),
-    )
-    return float(np.var(result.vector, ddof=1))
+    return qagg.empirical_variance(np.linspace(0.3, 0.9, depth), flsim.aggregation_config(cfg, strategy), cfg.noise,
+                                   300, cfg.n_servers, seed_key=(cfg.seed, 0x5E))
 
 
 def _sweep_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:

@@ -10,7 +10,9 @@ classical mean. Every circuit's P(1) comes from `qcore.circuit_p1`:
 per-round noise deviation (`noise_deviation`) is a closed form on the same
 engine's Bloch vectors, so a run builds no state matrix or Kraus channel.
 `run_plan` runs one circuit's gate array, and `simulate_plan` builds its
-state matrix; only the test oracles call them.
+state matrix; only the test oracles call them. `empirical_variance` is the
+spread of `replicated_aggregate`'s own estimates, so the Theorem 2 check,
+criterion 5 and `nrqfl sweep` all measure the shots a round draws.
 
 Each circuit's <Z> is the mean of AggregationConfig.repeats independent
 executions. `aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
@@ -36,7 +38,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .config import (AggregationConfig, TransferFunction, check_int, fit_calibration, fused_gates, group_sizes,
                      mitigation_transfer)
-from .encode import WeightBounds, denormalize, normalize, z_to_angle
+from .encode import ANGLE_BOUNDS, WeightBounds, denormalize, normalize, z_to_angle
 from .qcore import DensityMatrix, NoiseModel, circuit_bloch, circuit_p1, sample_measurement
 
 SIGMA_SHOT = 0.5  # per-shot standard deviation of the decoded angle arcsin(sqrt(p)), to first order at any p
@@ -250,21 +252,24 @@ def variance_bound(shots: int) -> float:
 
 
 def empirical_variance(
-    gates,
+    angles,
+    cfg: AggregationConfig,
     noise: NoiseModel,
-    shots: int,
     trials: int,
-    rng: np.random.Generator,
+    n_servers: int = 1,
+    seed_key=(0,),
 ) -> float:
-    """Sample variance of one circuit's raw decoded angle over `trials` independent `shots`-shot executions.
+    """Sample variance of `replicated_aggregate`'s estimate of one parameter whose client angles are `angles`.
 
-    The pre-measurement state is deterministic, so only measurement sampling
-    is repeated (vectorized over trials).
+    One call over `trials` parameters that each hold `angles` under ANGLE_BOUNDS; each draws its own shots,
+    so each is one independent estimate. Unmitigated, with one repeat, group and server, that estimate is
+    the raw decoded angle `variance_bound` covers.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    ones = rng.binomial(shots, float(circuit_p1(gates, noise)), size=trials)
-    return float(np.var(z_to_angle(1.0 - 2.0 * (ones / shots)), ddof=1))
+    columns = np.repeat(np.asarray(angles, dtype=float)[:, None], trials, axis=1)
+    result = replicated_aggregate(columns, ANGLE_BOUNDS, cfg, noise, n_servers, seed_key)
+    return float(np.var(result.vector, ddof=1))
 
 
 def noise_deviation(angle: float, noise: NoiseModel) -> float:

@@ -3,9 +3,10 @@
 Each check returns a CheckResult; the CLI prints one pass/fail line per check
 and exits non-zero if any fails. The suite covers channel CPTP properties,
 the Bloch engine the simulator runs against the Kraus chain (its oracle), the
-codec round trip and the shot sampling of `qagg.aggregate` (the code a round
-runs), the three aggregation theorems, mitigation efficacy, and selection
-fairness, at sizes that keep the whole run to a few seconds.
+codec round trip, the shot sampling and the estimator variance of
+`qagg.aggregate` (the code a round runs), the three aggregation theorems,
+mitigation efficacy, and selection fairness, at sizes that keep the whole run
+to a few seconds.
 The acceptance suite calls the same checks at its own seeds and sizes, which
 is why the randomized checks take those as parameters; the trace-distance
 oracle, the mitigation pipeline and the uniformity statistic each exist once,
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qagg, qselect
-from .config import fused_gates
 from .encode import ANGLE_BOUNDS, HALF_PI
 from .qcore import (
     COMPLETENESS_TOL,
@@ -224,15 +224,18 @@ def check_theorem1_noise_bound(seed: int = 17, draws: int = 50) -> CheckResult:
 
 
 def check_theorem2_bound_soundness(seed: int = 18, configs: int = 300, trials: int = 200) -> CheckResult:
+    """`qagg.variance_bound`(S) against `qagg.empirical_variance` of an unmitigated aggregate of 1-9 drawn angles;
+    drawn config i samples on seed key (seed, i)."""
     rng = np.random.default_rng(seed)
     noise = NoiseModel(p_depol=0.05, gamma=0.03)
     slack = 1 + 3 * math.sqrt(2 / (trials - 1))  # 3 sigma of a sample variance over `trials` normal draws
     violations, worst = 0, 0.0
-    for _ in range(configs):
+    for i in range(configs):
         n = int(rng.integers(1, 10))
         shots = int(rng.integers(256, 65537))
         angles = rng.uniform(0.05, HALF_PI - 0.05, size=n)
-        ratio = qagg.empirical_variance(fused_gates(angles), noise, shots, trials, rng) / qagg.variance_bound(shots)
+        cfg = qagg.AggregationConfig(shots=shots)
+        ratio = qagg.empirical_variance(angles, cfg, noise, trials, seed_key=(seed, i)) / qagg.variance_bound(shots)
         violations += ratio > slack
         worst = max(worst, ratio)
     rate = violations / configs

@@ -15,7 +15,7 @@ from scipy import stats
 
 from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
-from nrqfl.config import ExperimentConfig, fused_gates
+from nrqfl.config import ExperimentConfig
 from nrqfl.qcore import NoiseModel
 from test_qselect import fairness_report
 
@@ -68,9 +68,9 @@ def test_criterion_4_theorem1_noise_bound():
 def test_criterion_5_theorem2_bound_soundness():
     t0 = time.perf_counter()
     result = validate.check_theorem2_bound_soundness(seed=3, configs=1000, trials=300)
-    gates = fused_gates([0.3, 0.5, 0.7, 0.9, 1.1])
-    v1 = qagg.empirical_variance(gates, DEFAULT_NOISE, 2048, 500, np.random.default_rng(4))
-    v4 = qagg.empirical_variance(gates, DEFAULT_NOISE, 8192, 500, np.random.default_rng(5))
+    angles = [0.3, 0.5, 0.7, 0.9, 1.1]
+    v1 = qagg.empirical_variance(angles, qagg.AggregationConfig(shots=2048), DEFAULT_NOISE, 500, seed_key=(4,))
+    v4 = qagg.empirical_variance(angles, qagg.AggregationConfig(shots=8192), DEFAULT_NOISE, 500, seed_key=(5,))
     ratio = v1 / v4
     elapsed = time.perf_counter() - t0
     report_checks(5, [result], 3.0 <= ratio <= 5.0 and elapsed < 300,

@@ -14,6 +14,7 @@ SUMMARY_KEYS = {key for key, *_ in SUMMARY_TABLE}
 CLOCK_MODULES = {"time", "datetime"}
 SEEDED_CALLS = {"default_rng", "SeedSequence"}  # numpy seeds these from the operating system when given no seed
 DECODE_CALLS = {"arcsin", "asin"}  # the inverse of P(1) = sin^2(a)
+BINOMIAL_SAMPLERS = {("qagg.py", "_shot_draws"), ("qcore.py", "sample_measurement")}  # a round's, the dense oracle's
 
 
 def strategy_name_literals(source: str) -> list:
@@ -50,6 +51,11 @@ def summary_key_literals(source: str) -> list:
                   if isinstance(node, ast.Constant) and node.value in SUMMARY_KEYS)
 
 
+def call_name(call: ast.Call):
+    """The name a call calls, bare or as an attribute; None for a call of an expression such as f()()."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
 def clock_reads(source: str) -> list:
     """(line, name) of every import of a clock module in `source`, and of every unseeded SEEDED_CALLS call.
 
@@ -62,7 +68,7 @@ def clock_reads(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in CLOCK_MODULES:
             hits.append((node.lineno, node.module))
         elif isinstance(node, ast.Call):
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            name = call_name(node)
             seeds = node.args[:1] + [k.value for k in node.keywords if k.arg in ("seed", "entropy")]
             if name in SEEDED_CALLS and all(isinstance(v, ast.Constant) and v.value is None for v in seeds):
                 hits.append((node.lineno, name))
@@ -74,9 +80,24 @@ def decode_calls(source: str) -> list:
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            name = call_name(node)
             if name in DECODE_CALLS:
                 hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def binomial_draws(source: str) -> list:
+    """(line, function) of every call in `source` of a function named binomial, bare or as an attribute,
+    with the innermost function that makes it ("<module>" outside any)."""
+    hits = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and call_name(child) == "binomial":
+                hits.append((child.lineno, owner))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
     return sorted(hits)
 
 
@@ -127,6 +148,20 @@ def test_decode_calls_are_found():
     source = ('a = np.arcsin(np.sqrt(p))\nb = math.asin(x)\nfrom math import asin\nc = asin(y)\n'
               '"""arcsin(sqrt(p)) of a state"""\nd = np.arcsinh(z)\ne = np.sin(a)\n')
     assert decode_calls(source) == [(1, "arcsin"), (2, "asin"), (4, "asin")]
+
+
+def test_only_the_shot_samplers_draw_binomials():
+    # an estimator's spread is the spread of what `qagg.aggregate` draws, so it samples through the round's streams
+    found = {(path.name, owner) for path in sorted(SRC.glob("*.py")) for _, owner in binomial_draws(path.read_text())}
+    assert found == BINOMIAL_SAMPLERS
+
+
+def test_binomial_draws_are_found():
+    source = ("def f(rng):\n    return rng.binomial(4, 0.5)\n"
+              "def g():\n    def h(p):\n        return binomial(1, p)\n    return h(0.5)\n"
+              "x = np.random.default_rng(0).binomial(2, 0.1, size=3)\n"
+              '"""binomial(shots, p) of a stream"""\ny = rng.negative_binomial(1, 0.5)\n')
+    assert binomial_draws(source) == [(2, "f"), (5, "h"), (7, "<module>")]
 
 
 def test_only_config_names_a_strategy():

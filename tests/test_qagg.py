@@ -341,19 +341,19 @@ class TestVarianceBound:
         rng = np.random.default_rng(16)
         ratios = []
         for depth in range(1, config.MAX_GROUP + 1):
-            for _ in range(20):
-                shots = int(rng.integers(256, 65537))
-                gates = fused_gates(rng.uniform(0.05, HALF_PI - 0.05, size=depth))
-                ratios.append(qagg.empirical_variance(gates, noise, shots, 200, rng) / qagg.variance_bound(shots))
+            for k in range(20):
+                cfg = qagg.AggregationConfig(shots=int(rng.integers(256, 65537)))
+                angles = rng.uniform(0.05, HALF_PI - 0.05, size=depth)
+                variance = qagg.empirical_variance(angles, cfg, noise, 200, seed_key=(16, depth, k))
+                ratios.append(variance / qagg.variance_bound(cfg.shots))
         assert 0.95 <= np.mean(ratios) <= 1.05
 
 
 class TestEmpiricalVariance:
     def test_shot_scaling(self):
-        gates = fused_gates([0.3, 0.5, 0.7, 0.9, 1.1])
-        rng = np.random.default_rng(10)
-        v1 = qagg.empirical_variance(gates, DEPOL, 1000, 500, rng)
-        v4 = qagg.empirical_variance(gates, DEPOL, 4000, 500, rng)
+        angles = [0.3, 0.5, 0.7, 0.9, 1.1]
+        v1 = qagg.empirical_variance(angles, qagg.AggregationConfig(shots=1000), DEPOL, 500, seed_key=(10, 1))
+        v4 = qagg.empirical_variance(angles, qagg.AggregationConfig(shots=4000), DEPOL, 500, seed_key=(10, 4))
         assert 0.7 * 4 <= v1 / v4 <= 1.3 * 4
 
     def test_mitigated_variance_grows_with_depth(self):
@@ -369,7 +369,7 @@ class TestEmpiricalVariance:
 
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):
-            qagg.empirical_variance(fused_gates([0.5]), DEPOL, 100, 1, np.random.default_rng(0))
+            qagg.empirical_variance([0.5], qagg.AggregationConfig(shots=100), DEPOL, 1)
 
 
 class TestNoiseDeviation:

@@ -30,7 +30,15 @@ def test_fairness_check_fails_on_a_starved_client(monkeypatch):
 def test_theorem2_check_fails_on_an_inflated_variance(monkeypatch):
     # the bound is a closed form, not fitted to the estimator it checks, so 1.5x the variance breaks it
     empirical_variance = qagg.empirical_variance
-    monkeypatch.setattr(qagg, "empirical_variance", lambda *a: 1.5 * empirical_variance(*a))
+    monkeypatch.setattr(qagg, "empirical_variance", lambda *a, **k: 1.5 * empirical_variance(*a, **k))
+    result = validate.check_theorem2_bound_soundness()
+    assert not result.passed, result.detail
+
+
+def test_theorem2_check_reads_the_round_shot_streams(monkeypatch):
+    # the check measures the draws a round makes: a quarter of the shots quadruples the variance
+    shot_draws = qagg._shot_draws
+    monkeypatch.setattr(qagg, "_shot_draws", lambda key, rows, shots, p: 4 * shot_draws(key, rows, shots // 4, p))
     result = validate.check_theorem2_bound_soundness()
     assert not result.passed, result.detail
 
