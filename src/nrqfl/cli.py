@@ -98,7 +98,7 @@ def cmd_validate(inject_broken_channel: bool = False) -> int:
 
 def _sweep_variance(cfg: ExperimentConfig, strategy: str, depth: int) -> float:
     """`qagg.empirical_variance` of the per-parameter estimate `strategy` runs, at this depth and shot count:
-    300 trials of one depth-`depth` circuit, with the repeats, mitigation and server median of the strategy's rounds."""
+    300 trials of one depth-`depth` circuit, with the shots, mitigation and server median of the strategy's rounds."""
     if not STRATEGY_TABLE[strategy].quantum:
         return 0.0
     return qagg.empirical_variance(np.linspace(0.3, 0.9, depth), flsim.aggregation_config(cfg, strategy), cfg.noise,

@@ -30,7 +30,7 @@ MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
 # each integer setting's range (lo, hi), hi None when unbounded; `check_int` is its one check
 INT_RANGES = dict(seed=(0, None), n_clients=(2, None), samples_per_client=(1, None), test_samples=(1, None),
                   classes=(2, None), feature_dim=(2, 8), rounds=(0, None), local_epochs=(1, None),
-                  shots=(1, MAX_SHOTS), repeats=(1, None), n_servers=(1, None))
+                  shots=(1, MAX_SHOTS), n_servers=(1, None))
 
 
 class Strategy(NamedTuple):
@@ -38,7 +38,7 @@ class Strategy(NamedTuple):
 
     quantum: bool  # aggregate on the quantum path; else take the classical size-weighted mean
     adaptive_window: bool  # encode over the round's per-parameter min/max, sent up as 8P bytes; else [-b, b]
-    mitigated: bool  # run cfg.mitigation on the mean of cfg.repeats executions; else "none" on one
+    mitigated: bool  # invert each circuit's <Z> by cfg.mitigation; else "none"
 
 
 # the one place a strategy name decides anything; a strategy's index here keys its shot and entropy streams
@@ -149,16 +149,14 @@ class AggregationConfig:
     """Knobs for one quantum aggregation call; a bad value raises the ConfigError a config file gets for its key."""
 
     shots: int = 4096
-    repeats: int = 1
     mitigation: str = "none"
     exact_expectation: bool = False
 
     def __post_init__(self):
         check_int("shots", self.shots)
-        check_int("repeats", self.repeats)
         if self.mitigation not in MITIGATIONS:
             raise ConfigError(f"mitigation must be one of {', '.join(MITIGATIONS)} (measurement averaging is set "
-                              f"by repeats alone), got {self.mitigation!r}")
+                              f"by shots alone), got {self.mitigation!r}")
         if not isinstance(self.exact_expectation, bool):
             raise ConfigError(f"exact_expectation must be true or false, got {self.exact_expectation!r}")
 
@@ -198,8 +196,7 @@ class ExperimentConfig:
     lr: float = 0.1
     strategies: tuple = STRATEGIES
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(p_depol=0.05, gamma=0.03))
-    shots: int = 4096
-    repeats: int = 3
+    shots: int = 12288
     mitigation: str = "calibration"
     n_servers: int = 1
     selection_m: int | None = None
@@ -212,7 +209,7 @@ class ExperimentConfig:
             check_int(name, getattr(self, name))
         check_workload(self.n_clients, self.classes, self.feature_dim, self.samples_per_client, self.test_samples,
                        self.skew, self.class_sep)
-        AggregationConfig(self.shots, self.repeats, self.mitigation, self.exact_expectation)
+        AggregationConfig(self.shots, self.mitigation, self.exact_expectation)
         for name in ("lr", "fixed_weight_bound"):
             v = getattr(self, name)
             if not is_real(v) or v <= 0:

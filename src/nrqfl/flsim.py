@@ -315,7 +315,6 @@ def aggregation_config(cfg: ExperimentConfig, strategy: str) -> AggregationConfi
     mitigated = STRATEGY_TABLE[strategy].mitigated
     return AggregationConfig(
         shots=cfg.shots,
-        repeats=cfg.repeats if mitigated else 1,
         mitigation=cfg.mitigation if mitigated else "none",
         exact_expectation=cfg.exact_expectation,
     )

@@ -14,27 +14,25 @@ state matrix; only the test oracles call them. `empirical_variance` is the
 spread of `replicated_aggregate`'s own estimates, so the Theorem 2 check,
 criterion 5 and `nrqfl sweep` all measure the shots a round draws.
 
-Each circuit's <Z> is the mean of AggregationConfig.repeats independent
-executions. `aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
+Each circuit's <Z> is estimated from AggregationConfig.shots executions.
+`aggregate` then inverts the linear transfer noisy_z = lam * ideal_z + b
 that `config.mitigation_transfer` maps AggregationConfig.mitigation to, once
 per (noise, depth), and clamps the result to [-1, 1].
 
-Every execution draws its shots from its own stream, the one
-`default_rng(SeedSequence(key))` would give. `_seed_pools` and `_shot_draws`
-run SeedSequence's hashing for all of a call's keys as uint32 array ops, and
-numpy's PCG64 seeds itself from each stream's four words (`_SeedWords`).
+One `aggregate` call draws all of its shots from one stream,
+`default_rng(SeedSequence(seed_key))`: one binomial count per circuit, over
+the (group, parameter) array of P(1) in C order, so group 0's P parameters
+come first. A parameter's counts therefore change when P, the group count
+or that order changes; a given (config, seed) still gives the same counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .config import (AggregationConfig, TransferFunction, check_int, fit_calibration, fused_gates, group_sizes,
                      mitigation_transfer)
@@ -42,8 +40,6 @@ from .encode import ANGLE_BOUNDS, WeightBounds, denormalize, normalize, z_to_ang
 from .qcore import DensityMatrix, NoiseModel, circuit_bloch, circuit_p1, sample_measurement
 
 SIGMA_SHOT = 0.5  # per-shot standard deviation of the decoded angle arcsin(sqrt(p)), to first order at any p
-_WORD = 0xFFFFFFFF
-_OTHER_WORDS = [np.array([d for d in range(4) if d != s]) for s in range(4)]  # pool words each word mixes into
 
 
 @dataclass(frozen=True)
@@ -95,91 +91,9 @@ def calibrate(noise: NoiseModel, depth: int) -> TransferFunction:
     return TransferFunction(*fit_calibration(noise, depth))
 
 
-@lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """SeedSequence's n + 1 hash constants init * mult**k mod 2**32, as a read-only uint32 column."""
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _WORD)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _seed_pools(seed_key, suffixes) -> np.ndarray:
-    """`SeedSequence((*seed_key, *row)).pool` of each row of the K x m `suffixes`, as a K x 4 uint32 array.
-
-    numpy's pool mixing (NEP 19 keeps it stable) run as uint32 array ops
-    across all rows: each key part splits into little-endian 32-bit words,
-    and the hash constants do not depend on the data. Suffix parts must fit
-    in one word.
-    """
-    prefix = []
-    for part in seed_key:
-        part = int(part)
-        if part < 0:
-            raise ValueError(f"seed key parts must be non-negative, got {part}")
-        prefix.append(part & _WORD)
-        while part > _WORD:
-            part >>= 32
-            prefix.append(part & _WORD)
-    rows = np.asarray(suffixes, dtype=np.int64)
-    if rows.size and not 0 <= rows.min() <= rows.max() <= _WORD:
-        raise ValueError("stream suffix parts must be in [0, 2**32)")
-    n_words = len(prefix) + rows.shape[1]
-    entropy = np.zeros((max(n_words, 4), len(rows)), dtype=np.uint32)  # zero words pad a short key to the pool
-    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[len(prefix):n_words] = rows.T
-    consts, used = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy)), 0  # numpy's INIT_A, MULT_A
-
-    def hashmix(values, n):  # n hashes of the (broadcast) rows of `values`, each with the next constant
-        nonlocal used
-        h = values ^ consts[used:used + n]
-        h *= consts[used + 1:used + n + 1]
-        used += n
-        h ^= h >> 16
-        return h
-
-    def mix(x, y):  # in place on x; numpy's MIX_MULT_L and MIX_MULT_R
-        x *= np.uint32(0xCA01F9DD)
-        x -= y * np.uint32(0x4973F715)
-        x ^= x >> 16
-        return x
-
-    pool = hashmix(entropy[:4], 4)
-    for src in range(4):
-        dst = _OTHER_WORDS[src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for word in entropy[4:]:
-        mix(pool, hashmix(word, 4))
-    return pool.T
-
-
-class _SeedWords(ISeedSequence):
-    """Hands a bit generator one stream's precomputed `SeedSequence.generate_state(4, uint64)` words."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _shot_draws(seed_key, suffixes, shots: int, probs) -> np.ndarray:
-    """`default_rng(SeedSequence((*seed_key, *row))).binomial(shots, p)` per row of `suffixes` and p, bit for bit.
-
-    The pools become PCG64 seeds as `SeedSequence.generate_state(4, uint64)`
-    does, all streams at once; numpy's PCG64 then seeds each stream from its
-    four words as it would from a SeedSequence.
-    """
-    consts = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # numpy's INIT_B, MULT_B
-    words = (_seed_pools(seed_key, suffixes).T[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:-1]) * consts[1:]
-    words = (words ^ words >> 16).astype(np.uint64)
-    seeds = (words[0::2] | words[1::2] << np.uint64(32)).T.copy()  # one row of 4 uint64 words per stream
-    draws = [Generator(PCG64(_SeedWords(row))).binomial(shots, p) for row, p in zip(seeds, probs)]
-    return np.array(draws, dtype=np.int64)
+def _shot_draws(seed_key, shots: int, probs) -> np.ndarray:
+    """Ones out of `shots` at each P(1) of `probs`, drawn in C order from the one stream `seed_key` keys."""
+    return np.random.default_rng(np.random.SeedSequence(tuple(seed_key))).binomial(shots, probs)
 
 
 def aggregate(
@@ -192,13 +106,12 @@ def aggregate(
     """Quantum-aggregate N client parameter vectors into their (uniform) mean.
 
     normalize -> per client group, P(1) of the circuits of all P parameters in
-    one `circuit_p1` call -> sample (with repeats) -> invert the group depth's
+    one `circuit_p1` call -> sample -> invert the group depth's
     `mitigation_transfer` -> decode ->
     size-weighted mean over groups -> denormalize. Groups of more than 9
-    clients are combined by that classical mean. Each (parameter, group,
-    repeat) draws its shots from its own RNG stream keyed by
-    (seed_key, parameter, group, repeat), so results are independent of
-    execution order; `_shot_draws` derives all of a call's streams at once.
+    clients are combined by that classical mean. `_shot_draws` samples every
+    circuit of the call from the one stream `seed_key` keys, in the module's
+    documented (group, parameter) order.
     `bounds` of shape () bound every parameter alike; (P,) bounds, one each.
     """
     vectors = np.asarray(client_vectors, dtype=float)
@@ -217,10 +130,7 @@ def aggregate(
     if cfg.exact_expectation:
         z = 1.0 - 2.0 * p1
     else:
-        group, param, rep = np.indices((len(sizes), p, cfg.repeats)).reshape(3, -1)
-        keys = np.stack([param, group, rep], axis=1)  # stream keys end (parameter, group, repeat)
-        ones = _shot_draws(seed_key, keys, cfg.shots, np.repeat(p1, cfg.repeats).tolist())
-        z = (1.0 - 2.0 * (ones.reshape(len(sizes), p, cfg.repeats) / cfg.shots)).sum(axis=2) / cfg.repeats
+        z = 1.0 - 2.0 * (_shot_draws(seed_key, cfg.shots, p1) / cfg.shots)
     group_angles = np.stack([z_to_angle(mitigation_transfer(cfg.mitigation, noise, d).invert(z[g]))
                              for g, d in enumerate(sizes)])
     weights = np.asarray(sizes, dtype=float)
@@ -262,8 +172,8 @@ def empirical_variance(
     """Sample variance of `replicated_aggregate`'s estimate of one parameter whose client angles are `angles`.
 
     One call over `trials` parameters that each hold `angles` under ANGLE_BOUNDS; each draws its own shots,
-    so each is one independent estimate. Unmitigated, with one repeat, group and server, that estimate is
-    the raw decoded angle `variance_bound` covers.
+    so each is one independent estimate. Unmitigated, with one group and server, that estimate is the raw
+    decoded angle `variance_bound` covers.
     """
     if trials < 2:
         raise ValueError("need at least two trials")

@@ -282,7 +282,7 @@ def check_mitigation_efficacy(seed: int = 21, sets: int = 50, runs: int = 20, sh
         mitigated = abs(_aggregate_angles(angles, "channel_inversion", noise) - true_mean)
         worst_mit, min_raw = max(worst_mit, mitigated), min(min_raw, raw)
         raw_always_worse = raw_always_worse and raw > mitigated
-    # every parameter of one aggregate call draws its shots from its own stream, so each column is one run
+    # every parameter of one aggregate call draws its own shots from the call's stream, so each column is one run
     cfg = qagg.AggregationConfig(shots=shots, mitigation="channel_inversion")
     columns = np.tile(np.array(MITIGATED_ANGLES)[:, None], (1, runs))
     estimates = qagg.aggregate(columns, ANGLE_BOUNDS, cfg, noise, seed_key=(seed,)).vector

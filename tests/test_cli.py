@@ -134,9 +134,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="noise.p_depol"):
             config_from_dict({"noise": {"p_depol": 0.75}, "n_clients": 4})
 
-    def test_flag_list_names_the_one_setting_and_repeats(self):
+    def test_flag_list_names_the_one_setting_and_shots(self):
         with pytest.raises(ConfigError, match=r"^mitigation must be one of none, channel_inversion, calibration "
-                                              r"\(measurement averaging is set by repeats alone\)"):
+                                              r"\(measurement averaging is set by shots alone\)"):
             config_from_dict({"mitigation": ["measurement_averaging", "calibration"]})
 
     def test_readme_configs_parse(self):
@@ -300,7 +300,7 @@ def _parsed_message(key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("p_depol", True), ("p_depol", "0.1"), ("p_depol", None),
-    ("shots", True), ("shots", 2.5), ("shots", 2**63), ("shots", 0), ("repeats", True), ("repeats", 1.5),
+    ("shots", True), ("shots", 2.5), ("shots", 2**63), ("shots", 0),
     ("exact_expectation", "no"), ("mitigation", "bogus"),
     ("n_clients", 1), ("feature_dim", 9), ("skew", True),
     ("class_sep", float("nan")), ("class_sep", -2.0), ("class_sep", True),
@@ -356,7 +356,7 @@ def test_any_config_file_is_a_config_or_a_config_error(content):
 
 _SMALL = {"samples_per_client": 12, "test_samples": 20, "rounds": 2}
 _COUNTS = ("n_clients", "samples_per_client", "test_samples", "classes", "feature_dim", "rounds", "local_epochs",
-           "repeats", "n_servers")
+           "n_servers")
 _RUN_OBJECTS = st.lists(st.sampled_from([k for k in _CONFIG_KEYS if k != "out_dir"]), unique=True, max_size=6).flatmap(
     lambda keys: st.fixed_dictionaries({k: _config_value(k) for k in keys}))
 
@@ -369,7 +369,7 @@ def test_any_small_accepted_config_runs_to_finite_numbers_or_diverges(data):
         cfg = config_from_dict({**_SMALL, **data})
     except ConfigError:
         return
-    assume(all(getattr(cfg, key) <= 64 for key in _COUNTS) and cfg.shots <= 4096)
+    assume(all(getattr(cfg, key) <= 64 for key in _COUNTS) and cfg.shots <= _DEFAULTS.shots)
     try:
         runs = flsim.run_experiment(cfg)
     except ValueError as exc:  # a huge lr or class_sep diverges in the weights or, first, in the loss
@@ -410,6 +410,7 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ({"noise": {"gamma": "0.1"}}, "gamma"),
         ({"exact_expectation": "yes"}, "exact_expectation"),
         ({"record_timing": False}, "record_timing"),  # the removed knob, as every older summary.json echoes it
+        ({"repeats": 3}, "repeats"),  # folded into shots: an older config's r repeats of S shots are "shots": r * S
         ({"noise": {"gamma": 1.0}, "selection_m": 3}, "noise"),
         ({"selection_m": True}, "selection_m"),
         ({"selection_m": "3"}, "selection_m"),
@@ -442,7 +443,7 @@ def test_cli_import_does_not_load_the_invariant_suite():
         ("3", "cfg.json is not a JSON object"),
     ],
     ids=["mitigation", "mitigation-flag-list", "mitigation-bogus", "seed-str", "seed-bool", "noise-bool", "noise-str",
-         "exact-str", "timing-removed", "dead-entropy",
+         "exact-str", "timing-removed", "repeats-removed", "dead-entropy",
          "selection-bool", "selection-str", "lr-str", "skew-null", "sep-bool", "bound-str",
          "depol-calibration", "depol-inversion", "flip-calibration", "deph-calibration", "gamma-calibration", "shots-2**63", "lr-huge-int",
          "one-client", "one-class", "features-1", "features-9", "near-dead-entropy", "repeated-strategy",
@@ -656,10 +657,10 @@ class TestCmdSweep:
 
     @pytest.mark.parametrize("strategy, n_servers", [("nrqfl", 1), ("nrqfl", 3), ("qfl", 3)])
     def test_variance_column_is_the_run_estimator(self, strategy, n_servers):
-        # nrqfl averages `repeats` shot draws before mitigating; every quantum strategy takes the server median
+        # nrqfl mitigates its shot estimate; every quantum strategy takes the server median
         cfg = ExperimentConfig(n_servers=n_servers)
         if strategy == "nrqfl":
-            acfg = qagg.AggregationConfig(shots=cfg.shots, repeats=cfg.repeats, mitigation=cfg.mitigation)
+            acfg = qagg.AggregationConfig(shots=cfg.shots, mitigation=cfg.mitigation)
         else:
             acfg = qagg.AggregationConfig(shots=cfg.shots)
         depth, trials = 5, 2000
@@ -716,9 +717,8 @@ class TestCmdSweep:
         ("channel_inversion", "greater"),
     ], ids=["none", "channel-inversion"])
     def test_nrqfl_variance_goes_through_its_mitigation(self, tmp_path, mitigation, relation):
-        # on one execution and unmitigated, nrqfl's estimator is qfl's; inverting the channel amplifies its shot noise
-        cfg_path = write_cfg(tmp_path, {"strategies": ["qfl", "nrqfl"], "rounds": 1, "mitigation": mitigation,
-                                        "repeats": 1})
+        # unmitigated, nrqfl's estimator is qfl's at the same shots; inverting the channel amplifies its shot noise
+        cfg_path = write_cfg(tmp_path, {"strategies": ["qfl", "nrqfl"], "rounds": 1, "mitigation": mitigation})
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "shots",
                      "--values", "512,2048"]) == 0

@@ -449,11 +449,13 @@ class TestRunExperiment:
 
 
 def test_aggregation_config_reads_the_strategy_table():
-    cfg = ExperimentConfig(shots=1000, repeats=5, mitigation="channel_inversion", exact_expectation=True)
+    # one shot budget: both quantum strategies draw the config's shots per circuit; only the mitigation differs
+    cfg = ExperimentConfig(shots=1000, mitigation="channel_inversion", exact_expectation=True)
     qfl, nrqfl = (flsim.aggregation_config(cfg, s) for s in ("qfl", "nrqfl"))
-    assert (qfl.repeats, qfl.mitigation) == (1, "none")
-    assert (nrqfl.repeats, nrqfl.mitigation) == (5, "channel_inversion")
+    assert (qfl.mitigation, nrqfl.mitigation) == ("none", "channel_inversion")
     assert (qfl.shots, qfl.exact_expectation) == (nrqfl.shots, nrqfl.exact_expectation) == (1000, True)
+    default = ExperimentConfig()
+    assert flsim.aggregation_config(default, "qfl").shots == flsim.aggregation_config(default, "nrqfl").shots == 12288
 
 
 class TestRunRoundBatching:

@@ -44,73 +44,73 @@ WIDE_LIKE = {
 GOLDEN = {
     "criterion-10": (
         {"rounds": 8, "seed": 13, "samples_per_client": 100, "test_samples": 200},
-        ("6acfdd3d979712684e8a37554b3d4c8289685dc077262c76a73c809d062a846d",
-         "b1c7a07e8e27c618bb47550c7957537d373bc73a413d72a64bb30e304f59a108"),
+        ("9b859131748eeca12a322c39c83c2de7966c994b4f65cde091e7ac8413c5e8a1",
+         "eb4ceaa06f0701521b846b4462634a3554a201d7e0f8fb1704fbdcad9fc14bbf"),
         {"fedavg": {"final_accuracy": 0.94, "final_f1": 0.9395629512417832,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 4800, "total_bytes_down": 4800, "total_clipped": 0},
-         "qfl": {"final_accuracy": 0.91, "final_f1": 0.9094771241830065,
-                 "mean_agg_error": 0.09826208323691805, "mean_epsilon": 0.04074096715899651,
+         "qfl": {"final_accuracy": 0.94, "final_f1": 0.9395013798135369,
+                 "mean_agg_error": 0.09039734056534521, "mean_epsilon": 0.04076971873023547,
                  "total_bytes_up": 4800, "total_bytes_down": 4800, "total_clipped": 0},
          "nrqfl": {"final_accuracy": 0.94, "final_f1": 0.9395629512417832,
-                   "mean_agg_error": 0.0002195868513121741, "mean_epsilon": 0.045121123487081916,
+                   "mean_agg_error": 0.0002482864815512206, "mean_epsilon": 0.04512267070255773,
                    "total_bytes_up": 5760, "total_bytes_down": 4800, "total_clipped": 0}},
     ),
     # nrqfl with shot-stream seed keys of 4 parts: (seed, strategy, round, server)
     "nrqfl-3-servers": (
         {"rounds": 6, "seed": 7, "n_servers": 3, "strategies": ["nrqfl"], "samples_per_client": 100,
          "test_samples": 200},
-        ("40ff993a151a6cfd217fac99cb6b43b9b34be075bf747060cf9dd833c1fb1603",
-         "ab7a03a4890de7219db4a0d1632190f70b90914ac30a3273d8425a47acd2c21b"),
+        ("3f9b65dace09204378a0776b7cc7297589c7e77a229d2e65d7739ed3c5d220b6",
+         "9bef654ff60c2860bbe96d502a7b733eb2ad8cd4e437eeaa8a8810b71011ba73"),
         {"nrqfl": {"final_accuracy": 0.895, "final_f1": 0.8956868511113146,
-                   "mean_agg_error": 0.00024341155294778076, "mean_epsilon": 0.04175397852473805,
+                   "mean_agg_error": 0.00023427433675421157, "mean_epsilon": 0.041753701867025095,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # a seed above 2**64 splits into three 32-bit words of every shot-stream key
     "multi-word-seed": (
         {"rounds": 6, "seed": 2**64 + 3, "samples_per_client": 100, "test_samples": 200},
-        ("37d904b6ac0abb372b50126c5ee258b9640d4f10120086196b4873ad740b5fc8",
-         "8a6250d9734d62fbc94a5d3c96065e6ca7e5487df87a1368ea72bf233443140e"),
+        ("341f55fa59f8752768cc6d6ac06b889bf515f332c5f5ee4c7e53caa501e16920",
+         "845d5eb4b5b59a7551f01218f711c39751a3d58aba918244f63b554e0b3493bc"),
         {"fedavg": {"final_accuracy": 0.955, "final_f1": 0.9544569937633253,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
-         "qfl": {"final_accuracy": 0.94, "final_f1": 0.9397101449275361,
-                 "mean_agg_error": 0.10681477361129861, "mean_epsilon": 0.04101388502599624,
+         "qfl": {"final_accuracy": 0.95, "final_f1": 0.9498706205040625,
+                 "mean_agg_error": 0.10589453718543695, "mean_epsilon": 0.041072942005603054,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
          "nrqfl": {"final_accuracy": 0.955, "final_f1": 0.9544569937633253,
-                   "mean_agg_error": 0.0002734516549946069, "mean_epsilon": 0.041684226587678445,
+                   "mean_agg_error": 0.00024326396736676085, "mean_epsilon": 0.0416863602962338,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # 9 classes: training's softmax and bias-gradient sums take numpy's pairwise branch (8 classes and up)
     "nine-classes": (
         {"rounds": 6, "seed": 17, "classes": 9, "feature_dim": 3, "samples_per_client": 100,
          "test_samples": 200},
-        ("80d23cd2979bc89aaa75164e1d78106bb154bc5540a02515fd32735ce8485b50",
-         "07194e06365e13a210d9327a70aa787024f9fc7672b6eb0bd8ad0537fd212e19"),
+        ("9f6221802c0da757590ee44a12242b51ad9db22ef58471e8de325ce0e77e0c6b",
+         "0ff3f77be9014f11911e0d1f8c09ed2e79dc5e1fcfb79f30304e94946a097b81"),
         {"fedavg": {"final_accuracy": 0.465, "final_f1": 0.41311127144460474,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 8640, "total_bytes_down": 8640, "total_clipped": 0},
-         "qfl": {"final_accuracy": 0.345, "final_f1": 0.29305915515245995,
-                 "mean_agg_error": 0.10346968272985631, "mean_epsilon": 0.041020814632297384,
+         "qfl": {"final_accuracy": 0.45, "final_f1": 0.3661799116581642,
+                 "mean_agg_error": 0.09882986300854191, "mean_epsilon": 0.04103638461573353,
                  "total_bytes_up": 8640, "total_bytes_down": 8640, "total_clipped": 0},
-         "nrqfl": {"final_accuracy": 0.455, "final_f1": 0.39753829518711775,
-                   "mean_agg_error": 0.000355144535560748, "mean_epsilon": 0.04215050991224123,
+         "nrqfl": {"final_accuracy": 0.45, "final_f1": 0.3938896439423438,
+                   "mean_agg_error": 0.00037988597282439455, "mean_epsilon": 0.04214996297986565,
                    "total_bytes_up": 10368, "total_bytes_down": 8640, "total_clipped": 0}},
     ),
     # strategies out of STRATEGIES order: each strategy's streams stay keyed by its STRATEGIES index
     "strategy-order": (
         {"rounds": 6, "seed": 19, "strategies": ["nrqfl", "fedavg", "qfl"], "samples_per_client": 100,
          "test_samples": 200},
-        ("980f82b870d5fed7f025b854d7d9d665e42935f167d6046d65c8ae899c5b06e8",
-         "9e8aaea6ab4c6b581ddf22f3438c6b667a1e9ebac09f3d9f5d1aed4376c8ee65"),
+        ("e00ff58dbd1a6c1fdf086e36e0f107d32cf4551af6914398ab36c694f2cad9b9",
+         "15d206b922ce6506f792b239391109e034f8a9ed422a951eaeeea44d41d8a954"),
         {"nrqfl": {"final_accuracy": 0.905, "final_f1": 0.9045912739168473,
-                   "mean_agg_error": 0.0004395061033990698, "mean_epsilon": 0.044138530483864076,
+                   "mean_agg_error": 0.0003896293921065365, "mean_epsilon": 0.044135823314213535,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0},
          "fedavg": {"final_accuracy": 0.905, "final_f1": 0.9045912739168473,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
-         "qfl": {"final_accuracy": 0.915, "final_f1": 0.9145561099231805,
-                 "mean_agg_error": 0.1075378864466653, "mean_epsilon": 0.04102485334967847,
+         "qfl": {"final_accuracy": 0.915, "final_f1": 0.914301162476345,
+                 "mean_agg_error": 0.10251747275080071, "mean_epsilon": 0.04107520321730964,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     # a qfl bound narrower than the updates: qfl clips every round (total_clipped 193), so the
@@ -118,50 +118,50 @@ GOLDEN = {
     "qfl-clipping": (
         {"rounds": 6, "seed": 23, "fixed_weight_bound": 0.05, "strategies": ["qfl", "nrqfl"],
          "samples_per_client": 100, "test_samples": 200},
-        ("529734526f1b934211d24d9dfdc0ddd70910acb3edc28294ce3eead93aa41062",
-         "b76ed1fb6d1177b3d4c4a1887f07231859ed6eea1989e3a46dec617a3846a90f"),
+        ("439c8b7cea6b32651733f3c579c112cfe7c63545a9664d35d4468eba1bd2ea0e",
+         "14179905a6e86102d930468d4c161ef3ee77cf34186ce450b87432f1fb86be96"),
         {"qfl": {"final_accuracy": 0.86, "final_f1": 0.8584577883063824,
-                 "mean_agg_error": 0.06772569905627461, "mean_epsilon": 0.04107943953755626,
+                 "mean_agg_error": 0.0677466097095507, "mean_epsilon": 0.04108356744946368,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 193},
          "nrqfl": {"final_accuracy": 0.87, "final_f1": 0.8699872773536895,
-                   "mean_agg_error": 0.0005337172261982587, "mean_epsilon": 0.04641390138489961,
+                   "mean_agg_error": 0.000506311055402689, "mean_epsilon": 0.04641469390117899,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
-    # nrqfl's channel inversion, (1 - 4p/3)^d, on one execution per circuit
+    # nrqfl's channel inversion, (1 - 4p/3)^d, on 4096 shots per circuit
     "channel-inversion": (
-        {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "channel_inversion", "repeats": 1,
+        {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "channel_inversion", "shots": 4096,
          "samples_per_client": 100, "test_samples": 200},
-        ("ecb39938301050cd8c458485b42953526ff93a9151c5caf1a4cceb9298b6f6fa",
-         "c440a150856964e911badac308dcf6e4d0b062e781f233820fab1cdf2b04545f"),
-        {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
-                 "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
+        ("81f7f3e173c516a1cb6444c694b7162d923ac40bee99488204f3fa68e2ab1e3f",
+         "2bcf021d1eaf13fd7ae2fb6c74d1d70b9a295457fd576cabc284ddd62b0a630f"),
+        {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8845587556540201,
+                 "mean_agg_error": 0.10477786220164949, "mean_epsilon": 0.041116498425598454,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
          "nrqfl": {"final_accuracy": 0.92, "final_f1": 0.9195747743541861,
-                   "mean_agg_error": 0.001418661906784753, "mean_epsilon": 0.041034129123855116,
+                   "mean_agg_error": 0.0014088824424389713, "mean_epsilon": 0.04103523191255066,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
-    # nrqfl's mean of 5 executions per circuit with no correction: repeats alone sets the averaging
+    # nrqfl on 5 x 4096 shots per circuit with no correction: shots alone set the averaging
     "averaging-only": (
-        {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "none", "repeats": 5,
+        {"rounds": 6, "seed": 29, "strategies": ["qfl", "nrqfl"], "mitigation": "none", "shots": 20480,
          "samples_per_client": 100, "test_samples": 200},
-        ("0144f83ff351b3f4b5df07e259c055ce24857f45052e05cbc9a32f087f94e510",
-         "af3b09f7eb37d4af536ba2a9cce4195329515afc3ab076562d9bdac6f8c456aa"),
-        {"qfl": {"final_accuracy": 0.885, "final_f1": 0.8836281828407812,
-                 "mean_agg_error": 0.1038619100303193, "mean_epsilon": 0.04107334585906856,
+        ("c6b5544d7df5b319fe89fd89785c910e8a75df0d0a62368d268ea2dbf23d0122",
+         "c8a0e7343982225d79549319574479ec23fc5c34e547bd08c677e2f2823db2c9"),
+        {"qfl": {"final_accuracy": 0.895, "final_f1": 0.894736237478173,
+                 "mean_agg_error": 0.1025245196017313, "mean_epsilon": 0.04108742182097413,
                  "total_bytes_up": 3600, "total_bytes_down": 3600, "total_clipped": 0},
          "nrqfl": {"final_accuracy": 0.925, "final_f1": 0.9249412450894617,
-                   "mean_agg_error": 0.0011414884707500507, "mean_epsilon": 0.04103702901894817,
+                   "mean_agg_error": 0.0011341533428188128, "mean_epsilon": 0.04103746607617775,
                    "total_bytes_up": 4320, "total_bytes_down": 3600, "total_clipped": 0}},
     ),
     "wide-like": (
         WIDE_LIKE,
-        ("0395b47261e4255b3f20eed1e64c32516baa4f55324c0d4db433b1e7079e03a6",
-         "433830e36a985ed3ddbef229df123bea16572160a552491247846bce2c597428"),
+        ("677d5b954df1bae926b822c712cd25693e2db551ea7ca806c1fa1785b9b051b5",
+         "0a761ff8b25001764f705ec1a3456490fa57ecf3ad37ca4a96abd279bed2fc92"),
         {"fedavg": {"final_accuracy": 0.8483333333333334, "final_f1": 0.8485659358599895,
                     "mean_agg_error": 0.0, "mean_epsilon": 0.0,
                     "total_bytes_up": 16000, "total_bytes_down": 64000, "total_clipped": 0},
-         "nrqfl": {"final_accuracy": 0.84, "final_f1": 0.840143924601346,
-                   "mean_agg_error": 0.00025754117407240863, "mean_epsilon": 0.04457969599176448,
+         "nrqfl": {"final_accuracy": 0.8433333333333334, "final_f1": 0.8433699676290791,
+                   "mean_agg_error": 0.00027939029177210053, "mean_epsilon": 0.0445798894632057,
                    "total_bytes_up": 17600, "total_bytes_down": 64000, "total_clipped": 0}},
     ),
 }
@@ -169,8 +169,8 @@ GOLDEN = {
 # one small shots sweep: (config, sweep flags, sha256 of sweep.csv)
 SWEEP_GOLDEN = (
     {"rounds": 3, "samples_per_client": 100, "test_samples": 200},
-    ("sweep", "--seed", "3", "--axis", "shots", "--values", "512,2048"),
-    "868fb11ccbc96a7b84b1b42ff4aa37f65129c3bbbf40dd0af85e63057d8f09ba",
+    ("sweep", "--seed", "3", "--axis", "shots", "--values", "1536,6144"),
+    "c1ef910368d406b29010489d378bd5601319281d3b27270c82b126e90ccdbb0b",
 )
 
 

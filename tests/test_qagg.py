@@ -16,46 +16,44 @@ def exact_raw(angles, noise):
     return qagg.run_plan(fused_gates(angles), noise, 1, None, exact=True)
 
 
-def rng_for(seed_key, *suffix) -> np.random.Generator:
-    """numpy's own seeding of the shot stream keyed by (seed_key, *suffix): the oracle of `qagg._shot_draws`."""
-    return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in tuple(seed_key) + suffix)))
+def rng_for(seed_key) -> np.random.Generator:
+    """numpy's own seeding of the one shot stream an `aggregate` call keys by seed_key: `qagg._shot_draws`'s oracle."""
+    return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in seed_key)))
 
 
 def reference_aggregate(client_vectors, bounds, cfg, noise, seed_key=(0,)):
-    """`aggregate` as one loop per parameter and group over fused_gates + run_plan: the oracle."""
+    """`aggregate` as one loop per group and parameter over fused_gates + run_plan: the oracle.
+
+    The circuits run in the documented order, group by group and parameter by parameter within a group,
+    each drawing its shots next from the call's one stream.
+    """
     vectors = np.asarray(client_vectors, dtype=float)
     n, p = vectors.shape
     groups = [list(c) for c in np.array_split(np.arange(n), math.ceil(n / config.MAX_GROUP))]
-    out, clip_count = np.empty(p), 0
     lo, hi = np.broadcast_to(bounds.lo, (p,)), np.broadcast_to(bounds.hi, (p,))
-    for j in range(p):
-        b = WeightBounds(lo[j], hi[j])
-        values = vectors[:, j]
-        clip_count += int(np.sum((values < b.lo) | (values > b.hi)))
-        angles = np.array([normalize(v, b) for v in values])
-        group_angles = []
-        for g_idx, g in enumerate(groups):
-            gates = fused_gates(angles[g])
-            if cfg.exact_expectation:
-                z = qagg.run_plan(gates, noise, cfg.shots, None, exact=True).z_raw
-            else:
-                z = float(np.mean([qagg.run_plan(gates, noise, cfg.shots, rng_for(seed_key, j, g_idx, r)).z_raw
-                                   for r in range(cfg.repeats)]))
+    per_param = [WeightBounds(lo[j], hi[j]) for j in range(p)]
+    clip_count = sum(int(np.sum((vectors[:, j] < b.lo) | (vectors[:, j] > b.hi))) for j, b in enumerate(per_param))
+    angles = np.array([[normalize(v, b) for v in vectors[:, j]] for j, b in enumerate(per_param)])
+    rng = None if cfg.exact_expectation else rng_for(seed_key)
+    group_angles = np.empty((len(groups), p))
+    for g_idx, g in enumerate(groups):
+        for j in range(p):
+            z = qagg.run_plan(fused_gates(angles[j, g]), noise, cfg.shots, rng, exact=cfg.exact_expectation).z_raw
             if cfg.mitigation == "calibration":
                 z = qagg.calibrate(noise, len(g)).invert(z)
             elif cfg.mitigation == "channel_inversion":
                 z = np.clip(z / depol_attenuation(noise, len(g)), -1.0, 1.0)
             z = min(max(float(z), -1.0), 1.0)
-            group_angles.append(math.asin(math.sqrt((1.0 - z) / 2.0)))
-        out[j] = denormalize(float(np.average(group_angles, weights=[len(g) for g in groups])), b)
-    return out, clip_count
+            group_angles[g_idx, j] = math.asin(math.sqrt((1.0 - z) / 2.0))
+    out = [denormalize(float(np.average(group_angles[:, j], weights=[len(g) for g in groups])), b)
+           for j, b in enumerate(per_param)]
+    return np.array(out, dtype=float), clip_count
 
 
 ALL_NOISE = NoiseModel(p_depol=0.03, p_deph=0.02, gamma=0.02, readout_flip=0.01)
-# every mitigation, each on one execution and on the mean of three
-MITIGATION_GRID = [pytest.param(m, r, id=m if r == 1 else f"{m}-repeats{r}") for m in config.MITIGATIONS for r in (1, 3)]
-# the old flag set {calibration, channel_inversion} ran as calibration on one execution; its case keeps that mapping pinned
-MITIGATION_GRID.append(pytest.param("calibration", 1, id="calibration+channel_inversion"))
+MITIGATION_GRID = list(config.MITIGATIONS)
+# the old flag set {calibration, channel_inversion} ran as calibration; its case keeps that mapping pinned
+MITIGATION_GRID.append(pytest.param("calibration", id="calibration+channel_inversion"))
 
 
 class TestBuildPlan:
@@ -153,7 +151,7 @@ class TestAggregate:
 
     def test_identical_vectors_under_noise(self):
         cfg = qagg.AggregationConfig(
-            shots=10**5, repeats=3,
+            shots=3 * 10**5,
             mitigation="calibration",
         )
         noise = NoiseModel(p_depol=0.05, gamma=0.03)
@@ -190,7 +188,7 @@ class TestAggregate:
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
     def test_shared_bounds_equal_their_per_parameter_broadcast(self, exact):
         # the data reach past the bounds, so clipping is compared too
-        cfg = qagg.AggregationConfig(shots=300, repeats=3, mitigation="calibration", exact_expectation=exact)
+        cfg = qagg.AggregationConfig(shots=900, mitigation="calibration", exact_expectation=exact)
         vecs = np.random.default_rng(24).uniform(-2.0, 2.0, size=(13, 4))
         shared = qagg.aggregate(vecs, WeightBounds(-1.5, 1.0), cfg, ALL_NOISE, seed_key=(6,))
         full = qagg.aggregate(vecs, WeightBounds(np.full(4, -1.5), np.full(4, 1.0)), cfg, ALL_NOISE, seed_key=(6,))
@@ -210,10 +208,10 @@ class TestAggregateMatchesReferenceLoop:
     BOUNDS = WeightBounds([-1.0, -3.0, -2.0], [1.0, 2.5, 2.0])
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
-    @pytest.mark.parametrize("mitigation, repeats", MITIGATION_GRID)
-    def test_every_client_count(self, mitigation, repeats, exact):
+    @pytest.mark.parametrize("mitigation", MITIGATION_GRID)
+    def test_every_client_count(self, mitigation, exact):
         rng = np.random.default_rng(20)
-        cfg = qagg.AggregationConfig(shots=300, repeats=repeats, mitigation=mitigation, exact_expectation=exact)
+        cfg = qagg.AggregationConfig(shots=300, mitigation=mitigation, exact_expectation=exact)
         clipped = 0
         for n in range(1, 26):
             vecs = rng.uniform(-2.0, 2.0, size=(n, 3))
@@ -226,7 +224,7 @@ class TestAggregateMatchesReferenceLoop:
 
     @pytest.mark.parametrize("n_servers", [1, 3])
     def test_replicated(self, n_servers):
-        cfg = qagg.AggregationConfig(shots=300, repeats=3, mitigation="calibration")
+        cfg = qagg.AggregationConfig(shots=900, mitigation="calibration")
         vecs = np.random.default_rng(21).uniform(-2.0, 2.0, size=(11, 3))
         got = qagg.replicated_aggregate(vecs, self.BOUNDS, cfg, ALL_NOISE, n_servers, seed_key=(8,))
         keys = [(8,)] if n_servers == 1 else [(8, s) for s in range(n_servers)]
@@ -236,34 +234,14 @@ class TestAggregateMatchesReferenceLoop:
 
 
 class TestShotStreams:
-    EDGE_PARTS = (0, 2**32 - 1, 2**32, 2**64 + 3)
-
-    def random_part(self, rng):
-        if rng.random() < 0.5:
-            return self.EDGE_PARTS[rng.integers(len(self.EDGE_PARTS))]
-        return int(rng.integers(0, 2**62)) << int(rng.integers(0, 9))  # up to 2**70
-
-    def test_batched_pools_and_draws_match_numpy(self):
-        rng = np.random.default_rng(22)
-        checked = 0
-        while checked < 2000:
-            seed_key = tuple(self.random_part(rng) for _ in range(rng.integers(0, 6)))
-            width = int(rng.integers(1, 4))
-            suffixes = rng.integers(0, 2**32 if rng.random() < 0.3 else 12, size=(int(rng.integers(1, 8)), width))
-            shots = int(rng.choice([1, 300, 4096, 2**40, 2**63 - 1]))
-            probs = rng.choice([0.0, 1e-12, 0.2, 0.5, 0.8, 1.0], size=len(suffixes)).tolist()
-            pools = qagg._seed_pools(seed_key, suffixes)
-            draws = qagg._shot_draws(seed_key, suffixes, shots, probs)
-            for row, pool, ones, p in zip(suffixes.tolist(), pools, draws, probs):
-                assert np.array_equal(pool, np.random.SeedSequence(seed_key + tuple(row)).pool)
-                assert ones == rng_for(seed_key, *row).binomial(shots, p)
-                checked += 1
-
-    @pytest.mark.parametrize("seed_key, suffixes", [((-1,), [[0]]), ((3, -(2**40)), [[0]]), ((3,), [[0, -1]]),
-                                                    ((3,), [[2**32]])])
-    def test_rejects_parts_outside_the_key_range(self, seed_key, suffixes):
-        with pytest.raises(ValueError):
-            qagg._seed_pools(seed_key, suffixes)
+    def test_draws_are_numpys_own_stream_and_keys_stay_non_negative(self):
+        probs = np.array([[0.0, 1e-12, 0.2], [0.5, 0.8, 1.0]])
+        for seed_key in [(), (0,), (3, 2**32), (2**64 + 3, 1, 7)]:
+            for shots in (1, 300, 12288, 2**63 - 1):
+                want = rng_for(seed_key).binomial(shots, probs)
+                assert np.array_equal(qagg._shot_draws(seed_key, shots, probs), want)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            qagg._shot_draws((3, -1), 300, probs)
 
 
 class TestCalibrationCache:

@@ -38,7 +38,7 @@ def test_theorem2_check_fails_on_an_inflated_variance(monkeypatch):
 def test_theorem2_check_reads_the_round_shot_streams(monkeypatch):
     # the check measures the draws a round makes: a quarter of the shots quadruples the variance
     shot_draws = qagg._shot_draws
-    monkeypatch.setattr(qagg, "_shot_draws", lambda key, rows, shots, p: 4 * shot_draws(key, rows, shots // 4, p))
+    monkeypatch.setattr(qagg, "_shot_draws", lambda key, shots, p: 4 * shot_draws(key, shots // 4, p))
     result = validate.check_theorem2_bound_soundness()
     assert not result.passed, result.detail
 
@@ -46,7 +46,7 @@ def test_theorem2_check_reads_the_round_shot_streams(monkeypatch):
 def test_sampling_check_fails_on_a_quarter_of_the_shots(monkeypatch):
     # the check samples through the draws a round makes: a quarter of the shots doubles sigma, so 4 sigma is 2
     shot_draws = qagg._shot_draws
-    monkeypatch.setattr(qagg, "_shot_draws", lambda key, rows, shots, p: 4 * shot_draws(key, rows, shots // 4, p))
+    monkeypatch.setattr(qagg, "_shot_draws", lambda key, shots, p: 4 * shot_draws(key, shots // 4, p))
     result = validate.check_sampling_consistency()
     assert not result.passed, result.detail
 
