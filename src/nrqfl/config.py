@@ -13,7 +13,7 @@ import numpy as np
 
 from .encode import angle_to_z
 from .qcore import NoiseModel, circuit_p1, is_real
-from .qselect import EntropySource
+from .qselect import entropy_p1
 
 
 class ConfigError(ValueError):
@@ -27,6 +27,7 @@ MAX_GROUP = 9  # clients per circuit; keeps circuit depth under 10
 INVERSION_FLOOR = 1e-6  # smallest depolarizing attenuation (1 - 4p/3)^d that mitigation divides by
 DEFAULT_PROBES = (0.15, 0.35, 0.55, 0.75, 0.95, 1.15, 1.35)  # calibration probe angles
 MAX_SHOTS = 2**63 - 1  # shot counts are drawn as C longs
+DEFAULT_SHOTS = 12288  # executions per circuit, of a config file and of a library AggregationConfig alike
 # each integer setting's range (lo, hi), hi None when unbounded; `check_int` is its one check
 INT_RANGES = dict(seed=(0, None), n_clients=(2, None), samples_per_client=(1, None), test_samples=(1, None),
                   classes=(2, None), feature_dim=(2, 8), rounds=(0, None), local_epochs=(1, None),
@@ -48,7 +49,6 @@ STRATEGY_TABLE = {
     "nrqfl": Strategy(quantum=True, adaptive_window=True, mitigated=True),
 }
 STRATEGIES = tuple(STRATEGY_TABLE)
-ENTROPY_FLOOR = 1e-3  # smallest P(1) or P(0) of the selection entropy circuit a run draws from
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
 
@@ -148,7 +148,7 @@ def check_workload(n_clients, classes, feature_dim, samples_per_client, test_sam
 class AggregationConfig:
     """Knobs for one quantum aggregation call; a bad value raises the ConfigError a config file gets for its key."""
 
-    shots: int = 4096
+    shots: int = DEFAULT_SHOTS
     mitigation: str = "none"
     exact_expectation: bool = False
 
@@ -196,7 +196,7 @@ class ExperimentConfig:
     lr: float = 0.1
     strategies: tuple = STRATEGIES
     noise: NoiseModel = field(default_factory=lambda: NoiseModel(p_depol=0.05, gamma=0.03))
-    shots: int = 12288
+    shots: int = DEFAULT_SHOTS
     mitigation: str = "calibration"
     n_servers: int = 1
     selection_m: int | None = None
@@ -227,10 +227,11 @@ class ExperimentConfig:
         if m is not None:
             if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= self.n_clients:
                 raise ConfigError(f"selection_m must be null or an integer in 1..n_clients, got {m!r}")
-            # von Neumann extraction keeps about p(1 - p) of the raw bits, so near 0 or 1 a selection all but never ends
-            if m < self.n_clients and not ENTROPY_FLOOR <= EntropySource(self.noise, seed=0).p1 <= 1 - ENTROPY_FLOOR:
-                raise ConfigError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of "
-                                  "0 or 1, so it yields almost no random bits")
+            if m < self.n_clients:  # a full selection draws no entropy bits
+                try:
+                    entropy_p1(self.noise)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
         if any(STRATEGY_TABLE[s].mitigated for s in strategies):
             for d in group_depths(self.n_clients if m is None else m):
                 mitigation_transfer(self.mitigation, self.noise, d)

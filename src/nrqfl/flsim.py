@@ -312,12 +312,8 @@ def _round_epsilon(noise: NoiseModel, updates: np.ndarray, bounds: WeightBounds)
 
 def aggregation_config(cfg: ExperimentConfig, strategy: str) -> AggregationConfig:
     """The aggregation knobs a quantum strategy's rounds run with."""
-    mitigated = STRATEGY_TABLE[strategy].mitigated
-    return AggregationConfig(
-        shots=cfg.shots,
-        mitigation=cfg.mitigation if mitigated else "none",
-        exact_expectation=cfg.exact_expectation,
-    )
+    mitigation = cfg.mitigation if STRATEGY_TABLE[strategy].mitigated else "none"
+    return AggregationConfig(cfg.shots, mitigation, cfg.exact_expectation)
 
 
 def run_round(

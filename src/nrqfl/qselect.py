@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
 from .qcore import NoiseModel, circuit_p1
 
 ENTROPY_CIRCUIT = (math.pi / 2,)
+ENTROPY_FLOOR = 1e-3  # smallest P(1) or P(0) of the entropy circuit a selection draws from
 CHUNK = 1 << 16  # raw bits drawn per refill of an EntropySource
 
 
@@ -35,16 +36,22 @@ class SelectionVector:
         object.__setattr__(self, "selected", tuple(sorted(int(c) for c in self.selected)))
 
 
-def quantum_random_bits(k: int, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """k single-shot measurements of the noisy H|0> circuit.
+@lru_cache(maxsize=64)
+def entropy_p1(noise: NoiseModel) -> float:
+    """P(1) of ENTROPY_CIRCUIT under `noise`, cached for the parse check and every refill; a ValueError within
+    ENTROPY_FLOOR of 0 or 1, where von Neumann extraction keeps about p(1 - p) of the raw bits and selection stalls."""
+    p1 = float(circuit_p1(ENTROPY_CIRCUIT, noise))
+    if not ENTROPY_FLOOR <= p1 <= 1 - ENTROPY_FLOOR:
+        raise ValueError(f"noise makes the selection entropy circuit read P(1) within {ENTROPY_FLOOR} of 0 or 1, "
+                         "so it yields almost no random bits")
+    return p1
 
-    All k circuits prepare the same state, so sampling vectorizes into one
-    Bernoulli draw per bit.
-    """
+
+def quantum_random_bits(k: int, p1: float, rng: np.random.Generator) -> np.ndarray:
+    """k single-shot measurements, one Bernoulli draw each, of a circuit that reads P(1) = p1 (`entropy_p1`)."""
     if k < 1:
         raise ValueError("need k >= 1 bits")
-    p = float(circuit_p1(ENTROPY_CIRCUIT, noise))
-    return (rng.random(k) < p).astype(np.uint8)
+    return (rng.random(k) < p1).astype(np.uint8)
 
 
 def von_neumann_extract(bits: np.ndarray) -> np.ndarray:
@@ -59,7 +66,7 @@ class EntropySource:
     """Buffered stream of von Neumann-extracted quantum-entropy bits.
 
     Each refill draws exactly CHUNK raw bits from the source's own generator.
-    At p1 (the circuit's P(1)) of 0 or 1 the raw bits are constant, so drawing raises.
+    Each refill applies `entropy_p1`, so a draw under noise that it refuses raises.
     """
 
     def __init__(self, noise: NoiseModel, seed):
@@ -68,15 +75,9 @@ class EntropySource:
         self._buffer = np.empty(0, dtype=np.uint8)
         self.bits_consumed = 0
 
-    @cached_property
-    def p1(self) -> float:
-        return float(circuit_p1(ENTROPY_CIRCUIT, self.noise))
-
     def _refill(self, need: int) -> None:
         while len(self._buffer) < need:
-            if self.p1 in (0.0, 1.0):
-                raise ValueError(f"entropy circuit reads P(1) = {self.p1} under {self.noise}; it yields no random bits")
-            fresh = von_neumann_extract(quantum_random_bits(CHUNK, self.noise, self._rng))
+            fresh = von_neumann_extract(quantum_random_bits(CHUNK, entropy_p1(self.noise), self._rng))
             self._buffer = np.concatenate([self._buffer, fresh])
 
     def take(self, k: int) -> np.ndarray:

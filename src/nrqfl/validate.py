@@ -292,12 +292,10 @@ def check_mitigation_efficacy(seed: int = 21, sets: int = 50, runs: int = 20, sh
                        f"{min_raw:.2e}, {hits}/{runs} sampled runs within 0.02 rad")
 
 
-def _subset_chi_square(source, rounds: int) -> float:
-    """Pearson chi-square of `rounds` 3-of-5 selections from `source` against uniform over the 10 SUBSETS."""
-    counts = np.zeros(len(SUBSETS))
-    for t in range(rounds):
-        counts[SUBSETS[qselect.select_clients(5, 3, source, t).selected]] += 1
-    expected = rounds / len(SUBSETS)
+def subset_chi_square(selections: list) -> float:
+    """Pearson chi-square of 3-of-5 `selections` (SelectionVectors) against uniform over the 10 SUBSETS."""
+    counts = np.bincount([SUBSETS[sv.selected] for sv in selections], minlength=len(SUBSETS))
+    expected = len(selections) / len(SUBSETS)
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
@@ -306,8 +304,9 @@ def check_selection_fairness(seeds: int = 20, rounds: int = 2000, stream: int = 
     """At least a `quorum` share of `seeds` EntropySource streams [seed, stream] select 3 of 5 clients
     `rounds` times with a subset chi-square below CHI2_DF9_P99."""
     noise = NoiseModel(p_depol=0.05, gamma=0.03)
-    ok_count = sum(_subset_chi_square(qselect.EntropySource(noise, seed=[seed, stream]), rounds) < CHI2_DF9_P99
-                   for seed in range(seeds))
+    sources = (qselect.EntropySource(noise, seed=[seed, stream]) for seed in range(seeds))
+    ok_count = sum(subset_chi_square([qselect.select_clients(5, 3, source, t) for t in range(rounds)]) < CHI2_DF9_P99
+                   for source in sources)
     return CheckResult("selection_fairness", ok_count >= quorum * seeds,
                        f"{ok_count}/{seeds} seeds below the 99th percentile of the 10-subset chi-square")
 

@@ -11,13 +11,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from nrqfl import flsim, qagg, qselect, validate
 from nrqfl.cli import main
 from nrqfl.config import ExperimentConfig
 from nrqfl.qcore import NoiseModel
-from test_qselect import fairness_report
 
 DEFAULT_NOISE = NoiseModel(p_depol=0.05, gamma=0.03)
 
@@ -125,8 +123,8 @@ def test_criterion_9_selection_fairness():
         qselect.SelectionVector(t, tuple(sorted(rng.choice(4, size=3, replace=False))), 0)
         for t in range(10**4)
     ]
-    neg_chi, _ = fairness_report(history, 5)
-    report_checks(9, [result], neg_chi > stats.chi2.ppf(0.999, df=4), f"starved-client chi2 {neg_chi:.0f}")
+    neg_chi = validate.subset_chi_square(history)
+    report_checks(9, [result], neg_chi > validate.CHI2_DF9_P99, f"starved-client chi2 {neg_chi:.0f}")
 
 
 def test_criterion_10_determinism(tmp_path):

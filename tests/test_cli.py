@@ -90,6 +90,10 @@ class TestParseConfig:
         assert cfg.noise.p_depol == 0.05
         assert cfg.noise.gamma == 0.03
 
+    def test_one_shots_default(self):
+        # a library AggregationConfig draws the shots a config file's rounds do
+        assert config.AggregationConfig().shots == ExperimentConfig().shots == config.DEFAULT_SHOTS
+
     def test_noise_object_replaces_the_whole_default(self):
         # a key the object leaves out is 0, not its default
         assert config_from_dict({"noise": {"p_depol": 0.1}}).noise == NoiseModel(p_depol=0.1)
@@ -123,6 +127,12 @@ class TestParseConfig:
         # full selection draws no entropy bits; with selection_m < n_clients it exits 2 (below)
         noise = {"gamma": 1.0}  # nrqfl's calibration cannot invert full damping (below)
         assert config_from_dict({"noise": noise, "strategies": ["fedavg", "qfl"]}).noise.gamma == 1.0
+
+    def test_full_selection_runs_under_degenerate_entropy_noise(self, tmp_path):
+        # selection_m == n_clients draws no entropy bits, so the entropy floor never applies
+        cfg_path = write_cfg(tmp_path, {"noise": {"gamma": 1.0}, "selection_m": 4, "strategies": ["fedavg", "qfl"]})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "rounds.csv").is_file()
 
     def test_unmitigable_depolarizing_only_rejected_where_mitigated(self):
         noise = {"p_depol": 0.8}  # 1 - 4p/3 < 0: odd-depth circuits invert the sign of <Z>

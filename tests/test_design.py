@@ -15,6 +15,7 @@ CLOCK_MODULES = {"time", "datetime"}
 SEEDED_CALLS = {"default_rng", "SeedSequence"}  # numpy seeds these from the operating system when given no seed
 DECODE_CALLS = {"arcsin", "asin"}  # the inverse of P(1) = sin^2(a)
 BINOMIAL_SAMPLERS = {("qagg.py", "_shot_draws"), ("qcore.py", "sample_measurement")}  # a round's, the dense oracle's
+ENTROPY_NAMES = {"ENTROPY_FLOOR", "ENTROPY_CIRCUIT"}  # the selection entropy's floor and circuit
 
 
 def strategy_name_literals(source: str) -> list:
@@ -98,6 +99,18 @@ def binomial_draws(source: str) -> list:
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(ast.parse(source), "<module>")
+    return sorted(hits)
+
+
+def entropy_names(source: str) -> list:
+    """(line, name) of every ENTROPY_NAMES name in `source`: read bare or as an attribute, or imported."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, a.name) for a in node.names if a.name in ENTROPY_NAMES]
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in ENTROPY_NAMES:
+            hits.append((node.lineno, name))
     return sorted(hits)
 
 
@@ -199,3 +212,15 @@ def test_only_cli_names_a_summary_key():
 def test_summary_key_literals_are_found():
     source = 'x = s["mean_agg_error"]\ny = {"final_f1": 1, "f1": 2}\n"""final_accuracy of a run"""\n'
     assert summary_key_literals(source) == [(1, "mean_agg_error"), (2, "final_f1")]
+
+
+def test_only_qselect_owns_the_selection_entropy():
+    # which noise a selection may draw from is one rule, `qselect.entropy_p1`; the parse check calls it
+    found = {path.name: entropy_names(path.read_text()) for path in sorted(SRC.glob("*.py")) if path.name != "qselect.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_entropy_names_are_found():
+    source = ('from .qselect import ENTROPY_FLOOR, CHUNK\np = circuit_p1(qselect.ENTROPY_CIRCUIT, noise)\n'
+              'ok = ENTROPY_FLOOR <= p\n"""ENTROPY_FLOOR of a source"""\nENTROPY_FLOORS = 1\n')
+    assert entropy_names(source) == [(1, "ENTROPY_FLOOR"), (2, "ENTROPY_CIRCUIT"), (3, "ENTROPY_FLOOR")]

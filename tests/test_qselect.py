@@ -1,17 +1,26 @@
+import time
+
 import numpy as np
 import pytest
-from scipy import stats
 
-from nrqfl.qcore import NoiseModel
+from nrqfl.config import ConfigError, config_from_dict
+from nrqfl.qcore import NoiseModel, circuit_p1
 from nrqfl.qselect import (
+    ENTROPY_CIRCUIT,
+    ENTROPY_FLOOR,
     EntropySource,
-    SelectionVector,
+    entropy_p1,
     quantum_random_bits,
     select_clients,
     von_neumann_extract,
 )
 
 NOISELESS = NoiseModel()
+
+
+def raw_p1(noise: NoiseModel) -> float:
+    """P(1) of the entropy circuit under `noise`, without the floor `entropy_p1` applies."""
+    return float(circuit_p1(ENTROPY_CIRCUIT, noise))
 
 
 class FixedBits:
@@ -31,37 +40,22 @@ class FixedBits:
         return out
 
 
-def fairness_report(history, n: int):
-    """Per-client selection counts and Pearson chi-square against uniform."""
-    if not history:
-        raise ValueError("empty selection history")
-    counts = np.zeros(n, dtype=int)
-    for sv in history:
-        for c in sv.selected:
-            counts[c] += 1
-    t = len(history)
-    m = len(history[0].selected)
-    expected = m * t / n
-    chi_square = float(np.sum((counts - expected) ** 2 / expected))
-    return chi_square, counts
-
-
 class TestQuantumRandomBits:
     def test_noiseless_is_fair(self):
-        bits = quantum_random_bits(10**5, NOISELESS, np.random.default_rng(0))
+        bits = quantum_random_bits(10**5, entropy_p1(NOISELESS), np.random.default_rng(0))
         assert abs(bits.mean() - 0.5) < 0.006  # binomial 4-sigma
 
     def test_total_decay_gives_zeros(self):
-        bits = quantum_random_bits(1000, NoiseModel(gamma=1.0), np.random.default_rng(1))
+        bits = quantum_random_bits(1000, raw_p1(NoiseModel(gamma=1.0)), np.random.default_rng(1))
         assert not bits.any()
 
     def test_seed_determinism(self):
-        a = quantum_random_bits(500, NOISELESS, np.random.default_rng(7))
-        b = quantum_random_bits(500, NOISELESS, np.random.default_rng(7))
+        a = quantum_random_bits(500, entropy_p1(NOISELESS), np.random.default_rng(7))
+        b = quantum_random_bits(500, entropy_p1(NOISELESS), np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_noise_biases_raw_bits(self):
-        bits = quantum_random_bits(10**5, NoiseModel(gamma=0.2), np.random.default_rng(2))
+        bits = quantum_random_bits(10**5, entropy_p1(NoiseModel(gamma=0.2)), np.random.default_rng(2))
         assert bits.mean() < 0.45
 
 
@@ -107,28 +101,6 @@ class TestSelectClients:
             select_clients(3, 4, FixedBits([]))
 
 
-class TestFairnessReport:
-    def test_full_participation_is_zero(self):
-        history = [SelectionVector(t, tuple(range(5)), 0) for t in range(100)]
-        chi, counts = fairness_report(history, 5)
-        assert chi == 0.0
-        assert list(counts) == [100] * 5
-
-    def test_starved_client_detected(self):
-        rng = np.random.default_rng(4)
-        history = []
-        for t in range(10**4):
-            chosen = tuple(sorted(rng.choice(4, size=3, replace=False)))  # client 4 never selected
-            history.append(SelectionVector(t, chosen, 0))
-        chi, counts = fairness_report(history, 5)
-        assert counts[4] == 0
-        assert chi > stats.chi2.ppf(0.999, df=4)
-
-    def test_rejects_empty_history(self):
-        with pytest.raises(ValueError):
-            fairness_report([], 5)
-
-
 class TestEntropySource:
     def test_tracks_consumption(self):
         source = EntropySource(NOISELESS, seed=0)
@@ -144,7 +116,7 @@ class TestEntropySource:
     def test_degenerate_noise_raises_instead_of_hanging(self):
         # total decay reads P(1) = 0, so the extractor could never yield a bit
         source = EntropySource(NoiseModel(gamma=1.0), seed=0)
-        assert source.p1 == 0.0
+        assert raw_p1(source.noise) == 0.0
         with pytest.raises(ValueError, match="no random bits"):
             source.take(1)
 
@@ -152,3 +124,35 @@ class TestEntropySource:
         # m == n spends no entropy, so the degenerate source is never drawn from
         source = EntropySource(NoiseModel(gamma=1.0), seed=0)
         assert select_clients(5, 5, source).selected == (0, 1, 2, 3, 4)
+
+
+class TestEntropyFloor:
+    def test_library_source_below_the_floor_raises_at_its_first_draw(self):
+        # P(1) = 5e-8: extraction would keep about one bit per 10^7 raw bits, so a selection would take seconds
+        source = EntropySource(NoiseModel(gamma=1 - 1e-7), seed=0)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="no random bits"):
+            select_clients(5, 3, source)
+        assert time.perf_counter() - t0 < 0.5
+        assert source.bits_consumed == 0
+
+    @pytest.mark.parametrize("gamma, readout_flip, p1, accepted", [
+        (1 - 2 * 0.9 * ENTROPY_FLOOR, 0.0, 0.9 * ENTROPY_FLOOR, False),
+        (1 - 2 * 1.1 * ENTROPY_FLOOR, 0.0, 1.1 * ENTROPY_FLOOR, True),
+        (1 - 2 * 0.9 * ENTROPY_FLOOR, 1.0, 1 - 0.9 * ENTROPY_FLOOR, False),
+        (1 - 2 * 1.1 * ENTROPY_FLOOR, 1.0, 1 - 1.1 * ENTROPY_FLOOR, True),
+    ], ids=["below-floor", "above-floor", "above-ceiling", "below-ceiling"])
+    def test_parse_check_and_source_share_the_rule(self, gamma, readout_flip, p1, accepted):
+        # amplitude damping takes the circuit's P(1) of 1/2 down to (1 - gamma)/2; a full readout flip mirrors it
+        noise = {"gamma": gamma, "readout_flip": readout_flip}
+        assert raw_p1(NoiseModel(**noise)) == pytest.approx(p1)
+        source = EntropySource(NoiseModel(**noise), seed=0)
+        if accepted:
+            config_from_dict({"noise": noise, "selection_m": 3, "strategies": ["fedavg", "qfl"]})
+            assert len(select_clients(5, 3, source).selected) == 3
+            return
+        with pytest.raises(ConfigError) as parsed:
+            config_from_dict({"noise": noise, "selection_m": 3, "strategies": ["fedavg", "qfl"]})
+        with pytest.raises(ValueError) as drawn:
+            source.take(1)
+        assert str(drawn.value) == str(parsed.value)
